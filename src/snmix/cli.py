@@ -15,10 +15,9 @@ from . import simulate
 from .distribution import SNParams, sample as sn_sample
 from .estimation import ConcentrationConfig, FrechetConfig, fit_sn
 from .metrics import kmeans, spherical_kmeans
-from .mixture import EMConfig, fit_em, information_criteria, log_likelihood, sample_mixture
+from .mixture import EMConfig, fit_em, information_criteria, sample_mixture
 
 _SN_ALGORITHMS = {
-    "sn": None,  # uses --assignment
     "sn-soft": "soft",
     "sn-hard": "hard",
     "sn-stochastic": "stochastic",
@@ -62,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_SN_ALGORITHMS) + ["kmeans", "spkmeans"],
         default="sn-soft",
     )
-    cluster.add_argument("--assignment", choices=["soft", "hard", "stochastic"], default="soft")
     cluster.add_argument("--concentration", choices=["hetero", "homo"], default="hetero")
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--eps", type=float, default=1e-8, help="inner solver tolerance")
@@ -160,7 +158,7 @@ def _cmd_cluster(args) -> int:
                 fh.write("\n")
         return 0
 
-    assignment = _SN_ALGORITHMS[args.algorithm] or args.assignment
+    assignment = _SN_ALGORITHMS[args.algorithm]
     cfg = EMConfig(
         K=args.K,
         assignment=assignment,

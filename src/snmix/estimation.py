@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import LAMBDA_MAX, SNParams, log_partition
-from .geometry import SpherePoint, batch_exp, batch_log, geodesic_distance, unitize
+from .geometry import SpherePoint, _unit_rows, batch_exp, batch_log, geodesic_distance, unitize
 
 __all__ = [
     "MAX_DISPERSION",
@@ -91,20 +91,6 @@ class MLEResult:
     iterations_lambda: int
     converged: bool
     support_ok: bool
-
-
-def _as_points(points) -> np.ndarray:
-    x = np.asarray(points, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError("points must form an (n, p+1) array with p >= 1")
-    if x.shape[0] < 1:
-        raise ValueError("need at least one observation")
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError("points must be unit vectors (normalize the data first)")
-    return x
 
 
 def _normalized_weights(n: int, weights) -> np.ndarray:
@@ -185,7 +171,7 @@ def weighted_frechet_mean(points, weights=None, cfg: FrechetConfig | None = None
     Riemannian gradient. With observations inside an open quarter-sphere
     the minimizer is unique and this converges to it.
     """
-    x = _as_points(points)
+    x = _unit_rows(np.atleast_2d(points))
     w = _normalized_weights(x.shape[0], weights)
     mu, _, _ = _frechet(x, w, cfg or FrechetConfig())
     return SpherePoint(mu)
@@ -270,7 +256,7 @@ def fit_sn(
     it then feeds the 1-D concentration solve. Uniform weights and an
     explicit all-equal weight vector give bit-identical results.
     """
-    x = _as_points(points)
+    x = _unit_rows(np.atleast_2d(points))
     w = _normalized_weights(x.shape[0], weights)
     frechet_cfg = frechet_cfg or FrechetConfig()
     conc_cfg = conc_cfg or ConcentrationConfig()

@@ -28,6 +28,7 @@ __all__ = [
 NORM_FLOOR = 1e-8      # vectors shorter than this cannot be normalized
 CUT_LOCUS_TOL = 1e-8   # log map rejected within this of the antipode
 TANGENCY_TOL = 1e-10   # max |<base, vec>| accepted for a tangent vector
+UNIT_ROW_TOL = 1e-6    # max | ||x|| - 1 | accepted for a data row
 
 
 def unitize(v, axis: int = -1) -> np.ndarray:
@@ -37,6 +38,20 @@ def unitize(v, axis: int = -1) -> np.ndarray:
     if np.any(norms < NORM_FLOOR):
         raise ValueError("cannot normalize a near-zero vector")
     return v / norms
+
+
+def _unit_rows(points) -> np.ndarray:
+    """Validate an (n, p+1) data matrix of finite unit rows, n >= 1, p >= 1."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError("points must form an (n, p+1) array with p >= 1")
+    if x.shape[0] < 1:
+        raise ValueError("need at least one observation")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
+    if np.any(np.abs(np.linalg.norm(x, axis=1) - 1.0) > UNIT_ROW_TOL):
+        raise ValueError("points must be unit vectors (normalize the data first)")
+    return x
 
 
 class SpherePoint:

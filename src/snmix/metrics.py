@@ -109,24 +109,47 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     )
 
 
-def _lloyd_once(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+def _lloyd(x: np.ndarray, k: int, seed, restarts: int, max_iter: int, centre) -> np.ndarray:
+    """Best of ``restarts`` Lloyd runs by within-cluster squared error; 1-based labels.
+
+    ``centre(x, members, centers)`` gives a cluster's new centre from its
+    member rows; ``centers`` holds the current centres, updated in order.
+    """
+    if x.ndim != 2:
+        raise ValueError("points must form an (N, d) array")
     n = x.shape[0]
-    centers = x[rng.choice(n, size=k, replace=False)].copy()
-    labels = np.full(n, -1)
-    for _ in range(max_iter):
-        d2 = _sq_dists(x, centers)
-        new = np.argmin(d2, axis=1)
-        # empty clusters grab the point currently served worst
-        for j in range(k):
-            if not np.any(new == j):
-                new[int(np.argmax(d2[np.arange(n), new]))] = j
-        if np.array_equal(new, labels):
-            break
-        labels = new
-        for j in range(k):
-            centers[j] = x[labels == j].mean(axis=0)
-    sse = float(np.sum(_sq_dists(x, centers)[np.arange(n), labels]))
-    return labels, sse
+    if k < 1 or n < k:
+        raise ValueError("need at least K observations")
+    rng = np.random.default_rng(seed)
+    best_labels, best_sse = None, math.inf
+    for _ in range(restarts):
+        centers = x[rng.choice(n, size=k, replace=False)].copy()
+        labels = np.full(n, -1)
+        for _ in range(max_iter):
+            d2 = _sq_dists(x, centers)
+            new = np.argmin(d2, axis=1)
+            # empty clusters grab the point currently served worst
+            for j in range(k):
+                if not np.any(new == j):
+                    new[int(np.argmax(d2[np.arange(n), new]))] = j
+            if np.array_equal(new, labels):
+                break
+            labels = new
+            for j in range(k):
+                centers[j] = centre(x, x[labels == j], centers)
+        sse = float(np.sum(_sq_dists(x, centers)[np.arange(n), labels]))
+        if sse < best_sse:
+            best_labels, best_sse = labels, sse
+    return best_labels + 1
+
+
+def _unit_mean_centre(x, members, centers) -> np.ndarray:
+    # a mean that cancels to zero is reseeded at the worst-represented point
+    mean = members.mean(axis=0)
+    norm = np.linalg.norm(mean)
+    if norm < 1e-8:
+        return x[int(np.argmin((x @ centers.T).max(axis=1)))]
+    return mean / norm
 
 
 def kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int = 100) -> np.ndarray:
@@ -136,17 +159,7 @@ def kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int = 100) -> n
     within-cluster squared error is returned.
     """
     x = np.asarray(points, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("points must form an (N, d) array")
-    if K < 1 or x.shape[0] < K:
-        raise ValueError("need at least K observations")
-    rng = np.random.default_rng(seed)
-    best_labels, best_sse = None, math.inf
-    for _ in range(restarts):
-        labels, sse = _lloyd_once(x, K, rng, max_iter)
-        if sse < best_sse:
-            best_labels, best_sse = labels, sse
-    return best_labels + 1
+    return _lloyd(x, K, seed, restarts, max_iter, lambda _x, members, _centers: members.mean(axis=0))
 
 
 def spherical_kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int = 100) -> np.ndarray:
@@ -154,35 +167,9 @@ def spherical_kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int =
 
     Points are assigned to the most-parallel centroid and centroids are the
     normalized means of their members; a centroid that cancels to zero is
-    reseeded at the worst-represented point.
+    reseeded at the worst-represented point. For unit centroids the nearest
+    centroid is the most parallel one, so this is Lloyd's loop with a
+    normalized centre update.
     """
     x = unitize(np.asarray(points, dtype=float))
-    n = x.shape[0]
-    if K < 1 or n < K:
-        raise ValueError("need at least K observations")
-    rng = np.random.default_rng(seed)
-    best_labels, best_obj = None, -math.inf
-    for _ in range(restarts):
-        centers = x[rng.choice(n, size=K, replace=False)].copy()
-        labels = np.full(n, -1)
-        for _ in range(max_iter):
-            sims = x @ centers.T
-            new = np.argmax(sims, axis=1)
-            for j in range(K):
-                if not np.any(new == j):
-                    new[int(np.argmin(np.max(sims, axis=1)))] = j
-            if np.array_equal(new, labels):
-                break
-            labels = new
-            for j in range(K):
-                mean = x[labels == j].mean(axis=0)
-                norm = np.linalg.norm(mean)
-                if norm < 1e-8:
-                    worst = int(np.argmin((x @ centers.T).max(axis=1)))
-                    centers[j] = x[worst]
-                else:
-                    centers[j] = mean / norm
-        obj = float(np.sum((x @ centers.T)[np.arange(n), labels]))
-        if obj > best_obj:
-            best_labels, best_obj = labels, obj
-    return best_labels + 1
+    return _lloyd(x, K, seed, restarts, max_iter, _unit_mean_centre)

@@ -26,7 +26,7 @@ from .estimation import (
     _frechet,
     _normalized_weights,
 )
-from .geometry import SpherePoint, geodesic_distance, unitize
+from .geometry import SpherePoint, _unit_rows, geodesic_distance, unitize
 from .metrics import kmeans
 
 __all__ = [
@@ -163,16 +163,6 @@ class EMReport:
     reseeds: int = 0
 
 
-def _as_data(points) -> np.ndarray:
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError("data must form an (N, p+1) array with p >= 1")
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError("data rows must be unit vectors")
-    return x
-
-
 def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
     """(N, K) matrix of log pi_k + log f_k(x_n)."""
     mus = model.locations()
@@ -184,13 +174,17 @@ def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
     return log_pi[None, :] - 0.5 * lams[None, :] * d2 - log_z[None, :]
 
 
+def _posterior(x: np.ndarray, model: MixtureModel):
+    """(gamma, row_loglik) from one pass: responsibilities and log sum_k pi_k f_k(x_n)."""
+    log_joint = _log_joint(x, model)
+    row_loglik = logsumexp(log_joint, axis=1, keepdims=True)
+    gamma = np.exp(log_joint - row_loglik)
+    return gamma / gamma.sum(axis=1, keepdims=True), row_loglik[:, 0]
+
+
 def e_step(data, model: MixtureModel) -> np.ndarray:
     """Posterior responsibilities gamma_nk, row-normalized in log space."""
-    x = _as_data(data)
-    log_post = _log_joint(x, model)
-    log_post = log_post - logsumexp(log_post, axis=1, keepdims=True)
-    gamma = np.exp(log_post)
-    return gamma / gamma.sum(axis=1, keepdims=True)
+    return _posterior(_unit_rows(data), model)[0]
 
 
 def harden(gamma) -> np.ndarray:
@@ -215,8 +209,7 @@ def stochasticize(gamma, rng) -> np.ndarray:
 
 def log_likelihood(data, model: MixtureModel) -> float:
     """Observed-data log-likelihood sum_n log sum_k pi_k f_k(x_n)."""
-    x = _as_data(data)
-    return float(np.sum(logsumexp(_log_joint(x, model), axis=1)))
+    return float(np.sum(_posterior(_unit_rows(data), model)[1]))
 
 
 def m_step(
@@ -234,7 +227,7 @@ def m_step(
     column must carry mass; empty clusters are the caller's problem (the EM
     driver reseeds them before calling in here).
     """
-    x = _as_data(data)
+    x = _unit_rows(data)
     g = np.asarray(gamma, dtype=float)
     n, k = g.shape
     if n != x.shape[0]:
@@ -243,9 +236,7 @@ def m_step(
     if np.any(col <= _EMPTY_COLUMN_FRACTION * n):
         raise ValueError("empty cluster: responsibilities carry no mass for some component")
     frechet_cfg = frechet_cfg or FrechetConfig()
-    conc_cfg = conc_cfg or ConcentrationConfig()
 
-    weights = col / n
     mus = []
     dispersions = np.empty(k)
     for j in range(k):
@@ -254,20 +245,26 @@ def m_step(
         mus.append(mu)
         d2 = np.square(geodesic_distance(x, mu))
         dispersions[j] = 0.5 * float(np.sum(w_j * d2))
+    return _assemble(mus, dispersions, col, n, concentration_mode, conc_cfg or ConcentrationConfig())
 
+
+def _assemble(mus, dispersions, col, n: int, concentration_mode: str, conc_cfg) -> MixtureModel:
+    """Mixture from component locations, dispersions and column masses over ``n`` rows.
+
+    Weights are ``col / n``; concentrations come from each clipped dispersion,
+    or from their ``col``-weighted pool in homogeneous mode.
+    """
+    p = len(mus[0]) - 1
     # collapsed clusters would otherwise raise as degenerate; cap instead
     dispersions = np.clip(dispersions, _DISPERSION_FLOOR, MAX_DISPERSION - 1e-9)
     if concentration_mode == "homogeneous":
         pooled = float(np.sum(dispersions * col) / n)
         pooled = min(max(pooled, _DISPERSION_FLOOR), MAX_DISPERSION - 1e-9)
-        lam, _, _ = _concentration(pooled, x.shape[1] - 1, conc_cfg)
-        lams = np.full(k, lam)
+        lams = np.full(len(mus), _concentration(pooled, p, conc_cfg)[0])
     else:
-        lams = np.array(
-            [_concentration(c, x.shape[1] - 1, conc_cfg)[0] for c in dispersions]
-        )
+        lams = np.array([_concentration(c, p, conc_cfg)[0] for c in dispersions])
     comps = tuple(SNParams(SpherePoint(m), float(lam)) for m, lam in zip(mus, lams))
-    return MixtureModel(comps, weights, concentration_mode)
+    return MixtureModel(comps, col / n, concentration_mode)
 
 
 def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:
@@ -280,7 +277,6 @@ def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:
 
 def _init_from_kmeans(x: np.ndarray, cfg: EMConfig, seed) -> MixtureModel:
     """Initial parameters from Lloyd clustering on the ambient coordinates."""
-    n = x.shape[0]
     labels = kmeans(x, cfg.K, seed=seed)
     loose_c = replace(cfg.concentration, epsilon=max(cfg.concentration.epsilon, 1e-6))
     mus, dispersions, counts = [], [], []
@@ -295,24 +291,16 @@ def _init_from_kmeans(x: np.ndarray, cfg: EMConfig, seed) -> MixtureModel:
         dispersions.append(0.5 * float(d2.mean()))
         counts.append(len(members))
     counts = np.asarray(counts, dtype=float)
-    dispersions = np.clip(dispersions, _DISPERSION_FLOOR, MAX_DISPERSION - 1e-9)
-    if cfg.concentration_mode == "homogeneous":
-        pooled = float(np.sum(dispersions * counts) / n)
-        pooled = min(max(pooled, _DISPERSION_FLOOR), MAX_DISPERSION - 1e-9)
-        lam = _concentration(pooled, x.shape[1] - 1, loose_c)[0]
-        lams = np.full(cfg.K, lam)
-    else:
-        lams = np.array([_concentration(c, x.shape[1] - 1, loose_c)[0] for c in dispersions])
-    comps = tuple(SNParams(SpherePoint(m), float(lam)) for m, lam in zip(mus, lams))
-    return MixtureModel(comps, counts / n, cfg.concentration_mode)
+    return _assemble(mus, dispersions, counts, x.shape[0], cfg.concentration_mode, loose_c)
 
 
-def _reseed_empty(x, model, gamma, assignment, rng):
+def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):
     """Replace components whose responsibility column lost all mass.
 
     Each dead component is moved onto the observation the current mixture
-    explains worst, its concentration reset to the median of the live ones,
-    and the membership matrix recomputed under the patched model.
+    explains worst (lowest ``row_loglik``), its concentration reset to the
+    median of the live ones, and the membership matrix recomputed under the
+    patched model.
     """
     n = x.shape[0]
     reseeds = 0
@@ -322,8 +310,7 @@ def _reseed_empty(x, model, gamma, assignment, rng):
         if dead.size == 0:
             break
         j = int(dead[0])
-        scores = logsumexp(_log_joint(x, model), axis=1)
-        worst = int(np.argmin(scores))
+        worst = int(np.argmin(row_loglik))
         comps = list(model.components)
         live = [c.lam for i, c in enumerate(comps) if i != j]
         new_lam = float(np.median(live)) if model.concentration_mode == "heterogeneous" else comps[j].lam
@@ -331,7 +318,8 @@ def _reseed_empty(x, model, gamma, assignment, rng):
         w = model.weights.copy()
         w[j] = max(w[j], 1.0 / n)
         model = MixtureModel(tuple(comps), w / w.sum(), model.concentration_mode)
-        gamma = _apply_assignment(e_step(x, model), assignment, rng)
+        gamma, row_loglik = _posterior(x, model)
+        gamma = _apply_assignment(gamma, assignment, rng)
         reseeds += 1
     return model, gamma, reseeds
 
@@ -347,7 +335,7 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     a final full-precision M-step polishes the returned model, so a K=1 run
     reproduces :func:`snmix.estimation.fit_sn` exactly.
     """
-    x = _as_data(data)
+    x = _unit_rows(data)
     n = x.shape[0]
     if n < cfg.K:
         raise ValueError("need at least K observations")
@@ -359,7 +347,8 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
 
     loose_f = replace(cfg.frechet, epsilon=max(cfg.frechet.epsilon, 1e-6))
     loose_c = replace(cfg.concentration, epsilon=max(cfg.concentration.epsilon, 1e-6))
-    trace = [log_likelihood(x, model)]
+    posterior, row_loglik = _posterior(x, model)
+    trace = [float(np.sum(row_loglik))]
     threshold = cfg.epsilon_gamma * math.sqrt(n * cfg.K)
     gamma_prev = None
     gamma = None
@@ -367,8 +356,8 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     iterations = 0
     converged = False
     for t in range(cfg.max_iter):
-        gamma = _apply_assignment(e_step(x, model), cfg.assignment, rng)
-        model, gamma, n_new = _reseed_empty(x, model, gamma, cfg.assignment, rng)
+        gamma = _apply_assignment(posterior, cfg.assignment, rng)
+        model, gamma, n_new = _reseed_empty(x, model, gamma, row_loglik, cfg.assignment, rng)
         reseeds += n_new
         if (
             cfg.stop_rule == "gamma"
@@ -379,15 +368,17 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
             break
         iterations = t + 1
         model = m_step(x, gamma, cfg.concentration_mode, loose_f, loose_c)
-        trace.append(log_likelihood(x, model))
+        posterior, row_loglik = _posterior(x, model)
+        trace.append(float(np.sum(row_loglik)))
         if cfg.stop_rule == "loglik" and abs(trace[-1] - trace[-2]) < cfg.epsilon_loglik:
             converged = True
             break
         gamma_prev = gamma
 
     model = m_step(x, gamma, cfg.concentration_mode, cfg.frechet, cfg.concentration)
-    trace.append(log_likelihood(x, model))
-    gamma = _apply_assignment(e_step(x, model), cfg.assignment, rng)
+    posterior, row_loglik = _posterior(x, model)
+    trace.append(float(np.sum(row_loglik)))
+    gamma = _apply_assignment(posterior, cfg.assignment, rng)
     return EMReport(
         model=model,
         gamma=gamma,

@@ -225,3 +225,8 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--input", "x.csv", "--nonsense"])
         assert exc.value.code == 2
+
+    def test_bare_sn_algorithm_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["cluster", "--input", "x.csv", "-K", "2", "--algorithm", "sn"])
+        assert exc.value.code == 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snmix.distribution import SNParams, sample
-from snmix.estimation import fit_sn
+from snmix.estimation import fit_sn, weighted_frechet_mean
 from snmix.geometry import SpherePoint, batch_exp, batch_project, geodesic_distance, unitize
 from snmix.mixture import (
     EMConfig,
@@ -283,6 +283,30 @@ class TestFitEM:
             nearest = np.argmin(geodesic_distance(x[:, None, :], mus[None]), axis=1)
             assert np.array_equal(np.argmax(gamma, axis=1), nearest)
 
+    def test_one_posterior_pass_per_sweep(self, monkeypatch):
+        import snmix.mixture as mix
+
+        calls = []
+        original = mix._log_joint
+
+        def counting(x, model):
+            calls.append(None)
+            return original(x, model)
+
+        monkeypatch.setattr(mix, "_log_joint", counting)
+        rng = np.random.default_rng(19)
+        pts, _, _ = separated_sample(rng, 2, (18.0, 9.0), (90, 110))
+        # one run to max_iter, one to the gamma stop rule
+        for max_iter, converged in ((5, False), (200, True)):
+            cfg = EMConfig(K=2, seed=4, max_iter=max_iter)
+            calls.clear()
+            report = fit_em(pts, cfg)
+            assert (report.converged, report.reseeds) == (converged, 0)
+            # the initial pass, one per M-step, and the polish
+            assert len(calls) == report.iterations + 2
+            assert report.loglik_trace[-1] == log_likelihood(pts, report.model)
+            np.testing.assert_array_equal(report.gamma, e_step(pts, report.model))
+
     def test_reseeds_recover_dead_components(self):
         # a far-away initial component gets no mass and must be recovered
         rng = np.random.default_rng(43)
@@ -295,6 +319,24 @@ class TestFitEM:
         report = fit_em(pts, EMConfig(K=3, seed=0), init_model=init)
         assert report.reseeds >= 1
         assert np.all(report.gamma.sum(axis=0) > 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(fit_sn, id="fit_sn"),
+        pytest.param(weighted_frechet_mean, id="weighted_frechet_mean"),
+        pytest.param(lambda x: e_step(x, two_component_model()), id="e_step"),
+        pytest.param(lambda x: log_likelihood(x, two_component_model()), id="log_likelihood"),
+        pytest.param(lambda x: m_step(x, np.full((len(x), 2), 0.5)), id="m_step"),
+        pytest.param(lambda x: fit_em(x, EMConfig(K=2)), id="fit_em"),
+    ],
+)
+def test_non_finite_row_rejected(call):
+    x = sample(SNParams(np.array([0.0, 0.0, 1.0]), 10.0), 20, 0)
+    x[3] = np.nan
+    with pytest.raises(ValueError, match="points must be finite"):
+        call(x)
 
 
 class TestInformationCriteria:
