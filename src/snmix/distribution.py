@@ -67,8 +67,6 @@ class QuadratureRule:
 
     @classmethod
     def gauss_legendre(cls, order: int, upper: float = math.pi) -> "QuadratureRule":
-        if order < 2:
-            raise ValueError("quadrature order must be at least 2")
         if not 0.0 < upper <= math.pi:
             raise ValueError("upper integration bound must be in (0, pi]")
         x, w = _leggauss_base(int(order))
@@ -82,15 +80,12 @@ class QuadratureRule:
 @lru_cache(maxsize=32)
 def _leggauss_base(order: int):
     # computing the base rule is the expensive part; the affine map is cheap
+    if order < 2:
+        raise ValueError("quadrature order must be at least 2")
     x, w = np.polynomial.legendre.leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-@lru_cache(maxsize=1024)
-def _rule(order: int, upper: float) -> QuadratureRule:
-    return QuadratureRule.gauss_legendre(order, upper)
 
 
 def _log_sphere_area(p: int) -> float:
@@ -98,17 +93,16 @@ def _log_sphere_area(p: int) -> float:
     return math.log(2.0) + 0.5 * p * math.log(math.pi) - float(gammaln(0.5 * p))
 
 
-def _radial_cutoff(p: int, lam: float) -> float:
-    """Upper integration bound for the radial integrand.
+def _radial_cutoff(p: int, lam):
+    """Upper integration bound for the radial integrand, elementwise in ``lam``.
 
     The radial law behaves like a chi distribution with p degrees of freedom
     scaled by 1/sqrt(lam), so everything beyond (sqrt(p) + 10)/sqrt(lam) is
     below 1e-20 of the peak. Shrinking the domain keeps a fixed-order rule
     well resolved for concentrated densities.
     """
-    if lam <= 0.0:
-        return math.pi
-    return min(math.pi, (10.0 + math.sqrt(p)) / math.sqrt(lam))
+    with np.errstate(divide="ignore"):
+        return np.minimum(math.pi, (10.0 + math.sqrt(p)) / np.sqrt(lam))
 
 
 def _validate_dim(p) -> int:
@@ -124,18 +118,29 @@ def log_partition(p: int, lam: float, order: int = DEFAULT_QUAD_ORDER) -> float:
     largest exponent factored out, so concentrations up to LAMBDA_MAX do not
     underflow. Deterministic for a fixed quadrature order.
     """
+    return float(_log_partition_many(p, [lam], order)[0])
+
+
+def _log_partition_many(p: int, lams, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
+    """:func:`log_partition` at every entry of the 1-D array ``lams``.
+
+    Each concentration gets its own row of quadrature nodes on [0, cutoff],
+    so one call evaluates a whole finite-difference stencil or all K
+    components of a mixture.
+    """
     p = _validate_dim(p)
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
+    lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all() or (lams < 0.0).any():
         raise ValueError("concentration must be finite and non-negative")
-    rule = _rule(int(order), _radial_cutoff(p, lam))
-    r = rule.nodes
-    log_f = -0.5 * lam * r * r
+    x, w = _leggauss_base(int(order))
+    upper = _radial_cutoff(p, lams)[:, None]
+    r = 0.5 * upper * (x + 1.0)
+    log_f = -0.5 * lams[:, None] * r * r
     if p > 1:
         log_f = log_f + (p - 1) * np.log(np.sin(r))
-    peak = float(np.max(log_f))
-    total = float(np.sum(rule.weights * np.exp(log_f - peak)))
-    return _log_sphere_area(p) + peak + math.log(total)
+    peak = log_f.max(axis=1)
+    total = (0.5 * upper * w * np.exp(log_f - peak[:, None])).sum(axis=1)
+    return _log_sphere_area(p) + peak + np.log(total)
 
 
 def log_density(x, params: SNParams, order: int = DEFAULT_QUAD_ORDER):

@@ -14,8 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import LAMBDA_MAX, SNParams, log_partition
-from .geometry import SpherePoint, _unit_rows, batch_exp, batch_log, geodesic_distance, unitize
+from .distribution import LAMBDA_MAX, SNParams, _log_partition_many, log_partition
+from .geometry import (
+    CUT_LOCUS_TOL,
+    SpherePoint,
+    _distance_matrix,
+    _unit_rows,
+    batch_exp,
+    geodesic_distance,
+    unitize,
+)
 
 __all__ = [
     "MAX_DISPERSION",
@@ -94,67 +102,128 @@ class MLEResult:
 
 
 def _normalized_weights(n: int, weights) -> np.ndarray:
+    """Weights scaled to sum to one: a 1-D vector, or each column of an (n, K) matrix."""
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
+    if w.ndim not in (1, 2) or w.shape[0] != n:
         raise ValueError("weights must be a 1-D array matching the number of points")
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ValueError("weights must be finite and non-negative")
-    total = float(w.sum())
-    if total <= 0.0:
+    cols = w.reshape(n, -1)
+    total = cols.sum(axis=0)
+    if np.any(total <= 0.0):
         raise ValueError("weights must not be all zero")
-    if float(w.max()) == float(w.min()):
-        # canonical uniform vector, so every all-equal input (1/n, ones, ...)
-        # reproduces the default path bit for bit
-        return np.full(n, 1.0 / n)
-    return w / total
+    out = cols / total
+    # canonical uniform columns, so every all-equal input (1/n, ones, ...)
+    # reproduces the default path bit for bit
+    out[:, cols.max(axis=0) == cols.min(axis=0)] = 1.0 / n
+    return out.reshape(w.shape)
 
 
-def _frechet_objective(points: np.ndarray, w: np.ndarray, mu: np.ndarray) -> float:
-    return float(np.sum(w * np.square(geodesic_distance(points, mu))))
+def _frechet_objectives(points: np.ndarray, W: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """sum_n W[n, k] d^2(x_n, mus[k]) for every column k."""
+    return (W * np.square(_distance_matrix(points, mus))).sum(axis=0)
+
+
+def _armijo_columns(points, W, mus, mean_log, grad_norm):
+    """Backtracking step along each column's negative gradient.
+
+    Returns (new, found): ``new[k]`` is the accepted candidate where
+    ``found[k]`` and the unchanged ``mus[k]`` elsewhere. Each column halves
+    its own step until its Armijo test passes or the halvings run out.
+    """
+    f0 = _frechet_objectives(points, W, mus)
+    new = mus.copy()
+    found = np.zeros(mus.shape[0], dtype=bool)
+    todo = np.arange(mus.shape[0])
+    alpha = 1.0
+    for _ in range(_ARMIJO_MAX_HALVINGS):
+        cand = unitize(batch_exp(mus, 2.0 * alpha * mean_log))
+        ok = _frechet_objectives(points, W, cand) <= f0 - _ARMIJO_C * alpha * np.square(grad_norm)
+        if ok.any():
+            new[todo[ok]] = cand[ok]
+            found[todo[ok]] = True
+            if ok.all():
+                break
+            keep = ~ok
+            todo, W, mus, mean_log = todo[keep], W[:, keep], mus[keep], mean_log[keep]
+            f0, grad_norm = f0[keep], grad_norm[keep]
+        alpha *= 0.5
+    return new, found
 
 
 def _armijo_step(points, w, mu, mean_log, grad_norm):
     """Backtracking step along the negative gradient; None if no decrease."""
-    f0 = _frechet_objective(points, w, mu)
-    alpha = 1.0
-    for _ in range(_ARMIJO_MAX_HALVINGS):
-        cand = unitize(batch_exp(mu, 2.0 * alpha * mean_log))
-        if _frechet_objective(points, w, cand) <= f0 - _ARMIJO_C * alpha * grad_norm**2:
-            return cand
-        alpha *= 0.5
-    return None
+    new, found = _armijo_columns(points, w[:, None], mu[None, :], mean_log[None, :],
+                                 np.array([grad_norm]))
+    return new[0] if found[0] else None
+
+
+def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
+    """Weighted Frechet means of all K columns of ``W`` at once.
+
+    Returns (mus (K, p+1), iterations (K,), converged (K,)). Every column
+    runs the single-mean gradient iteration with its own stop tests and
+    iteration count, and is frozen once it stops. With C = x @ mus.T and
+    theta = arccos C, the weighted mean of the log maps
+    sum_n W_nk theta_nk / sin(theta_nk) (x_n - C_nk mu_k) is
+    F.T @ x - (sum_n F_nk C_nk) mu_k with F = W theta / sin(theta).
+    """
+    m0 = W.T @ points
+    norm0 = np.linalg.norm(m0, axis=1)
+    if np.any(norm0 < 1e-8):
+        raise ValueError("ill-posed initialization: weighted extrinsic mean is numerically zero")
+    k = W.shape[1]
+    mus = m0 / norm0[:, None]
+    iterations = np.full(k, cfg.max_iter)
+    converged = np.zeros(k, dtype=bool)
+    # columns still iterating, with their locations and weights; a column
+    # is indexed out only when it stops, so a K=1 solve never re-indexes
+    active, mu, Wa = np.arange(k), mus.copy(), W
+    for t in range(1, cfg.max_iter + 1):
+        C = (points @ mu.T).clip(-1.0, 1.0)
+        theta = np.arccos(C)
+        if theta.max() > np.pi - CUT_LOCUS_TOL:
+            raise ValueError(
+                "points include the antipode of a location estimate; the Frechet mean is undefined"
+            )
+        F = Wa * np.divide(theta, np.sin(theta), out=np.ones_like(theta), where=theta > 0.0)
+        # sum_n F_nk C_nk mu_k = (G_k . mu_k) mu_k, so only G needs the N rows
+        G = F.T @ points
+        mean_log = G - (G * mu).sum(axis=1)[:, None] * mu
+        grad_norm = 2.0 * np.sqrt((mean_log * mean_log).sum(axis=1))  # grad = -2 sum w Log(x)
+        stop = grad_norm < cfg.epsilon
+        if stop.any():
+            done = active[stop]
+            iterations[done], converged[done], mus[done] = t, True, mu[stop]
+            keep = ~stop
+            active, mu, Wa = active[keep], mu[keep], Wa[:, keep]
+            mean_log, grad_norm = mean_log[keep], grad_norm[keep]
+            if active.size == 0:
+                break
+        if cfg.step_rule == "fixed":
+            new, found = unitize(batch_exp(mu, 2.0 * cfg.alpha * mean_log)), True
+        else:
+            new, found = _armijo_columns(points, Wa, mu, mean_log, grad_norm)
+        # a column whose line search gave up keeps its mu, so it stops as unmoved
+        stop = np.square(new - mu).sum(axis=1) < cfg.epsilon**2
+        mu = new
+        if stop.any():
+            done = active[stop]
+            iterations[done], converged[done], mus[done] = t, (stop & found)[stop], mu[stop]
+            keep = ~stop
+            active, mu, Wa = active[keep], mu[keep], Wa[:, keep]
+            if active.size == 0:
+                break
+    mus[active] = mu
+    return mus, iterations, converged
 
 
 def _frechet(points: np.ndarray, w: np.ndarray, cfg: FrechetConfig):
-    """Core solver; returns (mu, iterations, converged)."""
-    m0 = w @ points
-    norm0 = float(np.linalg.norm(m0))
-    if norm0 < 1e-8:
-        raise ValueError("ill-posed initialization: weighted extrinsic mean is numerically zero")
-    mu = m0 / norm0
-    iterations = 0
-    converged = False
-    for t in range(cfg.max_iter):
-        iterations = t + 1
-        mean_log = w @ batch_log(mu, points)
-        grad_norm = 2.0 * float(np.linalg.norm(mean_log))  # grad = -2 sum w_i Log(x_i)
-        if grad_norm < cfg.epsilon:
-            converged = True
-            break
-        if cfg.step_rule == "fixed":
-            new = unitize(batch_exp(mu, 2.0 * cfg.alpha * mean_log))
-        else:
-            new = _armijo_step(points, w, mu, mean_log, grad_norm)
-            if new is None:
-                break
-        if float(np.linalg.norm(new - mu)) < cfg.epsilon:
-            mu = new
-            converged = True
-            break
-        mu = new
-    return mu, iterations, converged
+    """Single weighted Frechet mean; returns (mu, iterations, converged)."""
+    mus, iterations, converged = _frechet_columns(points, w[:, None], cfg)
+    return mus[0], int(iterations[0]), bool(converged[0])
 
 
 def weighted_frechet_mean(points, weights=None, cfg: FrechetConfig | None = None) -> SpherePoint:
@@ -186,49 +255,64 @@ def concentration_objective(lam: float, dispersion: float, p: int) -> float:
     return dispersion * float(lam) + log_partition(p, float(lam))
 
 
-def _concentration(dispersion: float, p: int, cfg: ConcentrationConfig):
-    """Core solver; returns (lam, iterations, converged)."""
-    dispersion = float(dispersion)
-    if dispersion <= 1e-12:
+def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
+    """Concentration roots for a 1-D array of dispersions at once.
+
+    Returns (lams, iterations, converged), each of the input's length. Every
+    entry runs its own Newton or Halley iteration and stops on its own test
+    |step| < epsilon * max(1, lam), which the finite-difference noise of a
+    large concentration can still meet; one :func:`_log_partition_many` call
+    per iteration evaluates the stencils of all entries still running.
+    """
+    d = np.asarray(dispersions, dtype=float)
+    if np.any(d <= 1e-12):
         raise ValueError("degenerate sample: concentration unbounded")
-    if dispersion >= MAX_DISPERSION:
+    if np.any(d >= MAX_DISPERSION):
         raise ValueError(f"dispersion must be below pi^2/2 = {MAX_DISPERSION:.6f}")
-
-    def g(t: float) -> float:
-        return dispersion * t + log_partition(p, t)
-
+    halley = cfg.method == "halley"
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0] if halley else [-1.0, 0.0, 1.0])
+    mid = len(offsets) // 2
     # Moment-matched start: E[d^2] ~ p / lam for concentrated data.
-    lam = min(p / (2.0 * dispersion), 0.5 * LAMBDA_MAX)
-    iterations = 0
-    converged = False
-    for t in range(cfg.max_iter):
-        iterations = t + 1
-        h = min(cfg.h_scale * max(1.0, lam), 0.25 * lam)
-        g_minus, g_plus = g(lam - h), g(lam + h)
+    lams = np.minimum(p / (2.0 * d), 0.5 * LAMBDA_MAX)
+    iterations = np.full(d.shape, cfg.max_iter)
+    converged = np.zeros(d.shape, dtype=bool)
+    # entries still iterating, with their concentrations and dispersions
+    active, lam, da = np.arange(d.size), lams.copy(), d[:, None]
+    for t in range(1, cfg.max_iter + 1):
+        h = np.minimum(cfg.h_scale * np.maximum(1.0, lam), 0.25 * lam)
+        stencil = lam[:, None] + offsets * h[:, None]
+        g = da * stencil + _log_partition_many(p, stencil.ravel()).reshape(stencil.shape)
+        g_minus, g_0, g_plus = g[:, mid - 1], g[:, mid], g[:, mid + 1]
         a = g_plus - g_minus
-        b = g_plus - 2.0 * g(lam) + g_minus
-        usable = math.isfinite(a) and math.isfinite(b) and b > 0.0
-        if not usable:
-            new = 2.0 * lam if a < 0.0 else 0.5 * lam
-        elif cfg.method == "newton":
+        b = g_plus - 2.0 * g_0 + g_minus
+        usable = np.isfinite(a) & np.isfinite(b) & (b > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
             new = lam - 0.5 * h * (a / b)
-        else:
-            c = g(lam + 2 * h) - 2.0 * g_plus + 2.0 * g_minus - g(lam - 2 * h)
-            denom = 8.0 * b * b - a * c
-            if math.isfinite(denom) and denom > 0.0:
-                new = lam - 4.0 * h * (a * b / denom)
-            else:
-                new = lam - 0.5 * h * (a / b)
-        if new <= 0.0:
-            new = 0.5 * lam
-        elif new > LAMBDA_MAX:
-            new = 0.5 * (lam + LAMBDA_MAX)
-        if abs(new - lam) < cfg.epsilon:
-            lam = new
-            converged = True
-            break
+            if halley:
+                c = g[:, 4] - 2.0 * g_plus + 2.0 * g_minus - g[:, 0]
+                denom = 8.0 * b * b - a * c
+                new = np.where(np.isfinite(denom) & (denom > 0.0), lam - 4.0 * h * (a * b / denom), new)
+        if not usable.all():
+            new = np.where(usable, new, np.where(a < 0.0, 2.0 * lam, 0.5 * lam))
+        new = np.where(new <= 0.0, 0.5 * lam, new)
+        new = np.where(new > LAMBDA_MAX, 0.5 * (lam + LAMBDA_MAX), new)
+        stop = np.abs(new - lam) < cfg.epsilon * np.maximum(1.0, lam)
         lam = new
-    return lam, iterations, converged
+        if stop.any():
+            done = active[stop]
+            iterations[done], converged[done], lams[done] = t, True, lam[stop]
+            keep = ~stop
+            active, lam, da = active[keep], lam[keep], da[keep]
+            if active.size == 0:
+                break
+    lams[active] = lam
+    return lams, iterations, converged
+
+
+def _concentration(dispersion: float, p: int, cfg: ConcentrationConfig):
+    """Single concentration root; returns (lam, iterations, converged)."""
+    lams, iterations, converged = _concentration_columns([float(dispersion)], p, cfg)
+    return float(lams[0]), int(iterations[0]), bool(converged[0])
 
 
 def concentration_mle(dispersion: float, p: int, cfg: ConcentrationConfig | None = None) -> float:

@@ -134,6 +134,11 @@ def geodesic_distance(x, y):
     return float(d) if d.ndim == 0 else d
 
 
+def _distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, k) geodesic distances between the rows of ``x`` and the rows of ``y``."""
+    return np.arccos((x @ y.T).clip(-1.0, 1.0))
+
+
 def batch_project(base, z) -> np.ndarray:
     """Tangent-space projection z - <base, z> base, batched."""
     b, zz = _coords(base), np.asarray(z, dtype=float)

@@ -2,10 +2,10 @@
 
 The E-step computes posterior component responsibilities through log-space
 densities; responsibilities can stay soft, be hardened to the row argmax,
-or be resampled from the row distribution each sweep. The M-step reuses the
-single-component estimators with responsibility weights, with either free
-per-component concentrations (heterogeneous) or one shared value
-(homogeneous).
+or be resampled from the row distribution each sweep. The M-step runs the
+single-component estimators on all K responsibility columns at once, with
+either free per-component concentrations (heterogeneous) or one shared
+value (homogeneous).
 """
 
 from __future__ import annotations
@@ -16,17 +16,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .distribution import SNParams, log_partition
+from .distribution import SNParams, _log_partition_many
 from .distribution import sample as sn_sample
 from .estimation import (
     MAX_DISPERSION,
     ConcentrationConfig,
     FrechetConfig,
     _concentration,
-    _frechet,
+    _concentration_columns,
+    _frechet_columns,
     _normalized_weights,
 )
-from .geometry import SpherePoint, _unit_rows, geodesic_distance, unitize
+from .geometry import SpherePoint, _distance_matrix, _unit_rows, geodesic_distance, unitize
 from .metrics import kmeans
 
 __all__ = [
@@ -167,8 +168,8 @@ def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
     """(N, K) matrix of log pi_k + log f_k(x_n)."""
     mus = model.locations()
     lams = model.concentrations()
-    d2 = np.square(geodesic_distance(data[:, None, :], mus[None, :, :]))
-    log_z = np.array([log_partition(model.p, lam) for lam in lams])
+    d2 = np.square(_distance_matrix(data, mus))
+    log_z = _log_partition_many(model.p, lams)
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.weights)
     return log_pi[None, :] - 0.5 * lams[None, :] * d2 - log_z[None, :]
@@ -229,32 +230,25 @@ def m_step(
     """
     x = _unit_rows(data)
     g = np.asarray(gamma, dtype=float)
-    n, k = g.shape
+    n, _ = g.shape
     if n != x.shape[0]:
         raise ValueError("gamma rows must match the number of observations")
     col = g.sum(axis=0)
     if np.any(col <= _EMPTY_COLUMN_FRACTION * n):
         raise ValueError("empty cluster: responsibilities carry no mass for some component")
-    frechet_cfg = frechet_cfg or FrechetConfig()
-
-    mus = []
-    dispersions = np.empty(k)
-    for j in range(k):
-        w_j = _normalized_weights(n, g[:, j])
-        mu, _, _ = _frechet(x, w_j, frechet_cfg)
-        mus.append(mu)
-        d2 = np.square(geodesic_distance(x, mu))
-        dispersions[j] = 0.5 * float(np.sum(w_j * d2))
+    W = _normalized_weights(n, g)
+    mus, _, _ = _frechet_columns(x, W, frechet_cfg or FrechetConfig())
+    dispersions = 0.5 * np.sum(W * np.square(_distance_matrix(x, mus)), axis=0)
     return _assemble(mus, dispersions, col, n, concentration_mode, conc_cfg or ConcentrationConfig())
 
 
 def _assemble(mus, dispersions, col, n: int, concentration_mode: str, conc_cfg) -> MixtureModel:
-    """Mixture from component locations, dispersions and column masses over ``n`` rows.
+    """Mixture from (K, p+1) locations, dispersions and column masses over ``n`` rows.
 
     Weights are ``col / n``; concentrations come from each clipped dispersion,
     or from their ``col``-weighted pool in homogeneous mode.
     """
-    p = len(mus[0]) - 1
+    p = mus.shape[1] - 1
     # collapsed clusters would otherwise raise as degenerate; cap instead
     dispersions = np.clip(dispersions, _DISPERSION_FLOOR, MAX_DISPERSION - 1e-9)
     if concentration_mode == "homogeneous":
@@ -262,7 +256,7 @@ def _assemble(mus, dispersions, col, n: int, concentration_mode: str, conc_cfg) 
         pooled = min(max(pooled, _DISPERSION_FLOOR), MAX_DISPERSION - 1e-9)
         lams = np.full(len(mus), _concentration(pooled, p, conc_cfg)[0])
     else:
-        lams = np.array([_concentration(c, p, conc_cfg)[0] for c in dispersions])
+        lams = _concentration_columns(dispersions, p, conc_cfg)[0]
     comps = tuple(SNParams(SpherePoint(m), float(lam)) for m, lam in zip(mus, lams))
     return MixtureModel(comps, col / n, concentration_mode)
 
@@ -291,7 +285,7 @@ def _init_from_kmeans(x: np.ndarray, cfg: EMConfig, seed) -> MixtureModel:
         dispersions.append(0.5 * float(d2.mean()))
         counts.append(len(members))
     counts = np.asarray(counts, dtype=float)
-    return _assemble(mus, dispersions, counts, x.shape[0], cfg.concentration_mode, loose_c)
+    return _assemble(np.array(mus), dispersions, counts, x.shape[0], cfg.concentration_mode, loose_c)
 
 
 def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):

@@ -11,6 +11,7 @@ from snmix.distribution import (
     LAMBDA_MAX,
     QuadratureRule,
     SNParams,
+    _log_partition_many,
     grad_log_partition,
     log_density,
     log_partition,
@@ -74,6 +75,11 @@ class TestLogPartition:
         for p in (1, 3, 7):
             values = [log_partition(p, lam) for lam in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 1e4)]
             assert np.all(np.diff(values) < 0.0)
+
+    def test_batched_rows_equal_scalar_calls(self):
+        lams = [0.0, 1e-3, 1.0, 130.0, 1e4, 1e8]
+        for p in (1, 2, 5, 20):
+            assert list(_log_partition_many(p, lams)) == [log_partition(p, lam) for lam in lams]
 
     def test_extreme_concentration_is_finite(self):
         assert math.isfinite(log_partition(2, LAMBDA_MAX))

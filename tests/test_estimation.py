@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from snmix.distribution import SNParams, log_partition, sample
+from snmix.distribution import SNParams, grad_log_partition, log_partition, sample
 from snmix.estimation import (
     MAX_DISPERSION,
     ConcentrationConfig,
     FrechetConfig,
     MLEResult,
+    _concentration,
+    _concentration_columns,
     _frechet,
+    _frechet_columns,
     concentration_mle,
     concentration_objective,
     fit_sn,
@@ -193,6 +196,19 @@ class TestConcentrationMLE:
         with pytest.raises(ValueError, match="degenerate sample"):
             concentration_mle(0.0, 3)
 
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    @pytest.mark.parametrize("p", [1, 3, 10])
+    def test_large_concentration_converges(self, method, p):
+        # the step test is relative, so finite-difference noise at large lam
+        # cannot keep the iteration from stopping
+        for lam in (1e3, 1e4, 1e6):
+            dispersion = -grad_log_partition(p, lam)
+            got, iterations, converged = _concentration(
+                dispersion, p, ConcentrationConfig(method=method)
+            )
+            assert converged and iterations < 20
+            assert got == pytest.approx(lam, rel=1e-6)
+
     def test_excess_dispersion_rejected(self):
         with pytest.raises(ValueError):
             concentration_mle(MAX_DISPERSION, 3)
@@ -264,6 +280,51 @@ class TestFitSN:
         pts = unitize(rng.standard_normal((300, 3)) + np.array([0.8, 0.0, 0.0]))
         res = fit_sn(pts)
         assert not res.support_ok  # wide support is flagged, not rejected
+
+
+class TestColumnSolvers:
+    """The column-batched solvers agree with one single-column solve per column."""
+
+    # The line search runs to max_iter: its last steps before the gradient
+    # test compare decreases near 1e-16, where a matrix product and a
+    # matrix-vector product round differently, so there a column and its
+    # single solve may stop a few iterations apart.
+    @pytest.mark.parametrize(
+        "cfg",
+        [FrechetConfig(), FrechetConfig(step_rule="line_search", max_iter=25)],
+        ids=["fixed", "line_search"],
+    )
+    def test_frechet_columns_match_single_solves(self, cfg):
+        rng = np.random.default_rng(59)
+        centers = unitize(rng.standard_normal((3, 4)))
+        pts = np.vstack([sample(SNParams(c, 15.0), 40, rng) for c in centers])
+        # columns 0-2 each lean on one cluster, column 3 spreads over all of
+        # them, column 4 is a single point and stops at the first iteration,
+        # and row 7 has no weight anywhere
+        W = rng.uniform(0.0, 1.0, (len(pts), 5))
+        W[:, :3] *= np.where(np.eye(3), 1.0, 1e-3).repeat(40, axis=0)
+        W[:, 4] = 0.0
+        W[5, 4] = 1.0
+        W[7] = 0.0
+        W /= W.sum(axis=0)
+        mus, iterations, converged = _frechet_columns(pts, W, cfg)
+        assert iterations[4] == 1 and converged[4] and iterations.max() > 1
+        for k in range(W.shape[1]):
+            mu, it, conv = _frechet(pts, W[:, k], cfg)
+            np.testing.assert_allclose(mus[k], mu, rtol=0.0, atol=1e-12)
+            assert (iterations[k], converged[k]) == (it, conv)
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_concentration_columns_match_single_solves(self, method):
+        cfg = ConcentrationConfig(method=method)
+        dispersions = np.array([0.05, 0.21, 0.8, 1.2, 1e-5])
+        for p in (1, 4):
+            lams, iterations, converged = _concentration_columns(dispersions, p, cfg)
+            assert iterations.min() < iterations.max()
+            for k, dispersion in enumerate(dispersions):
+                lam, it, conv = _concentration(dispersion, p, cfg)
+                assert lams[k] == pytest.approx(lam, rel=1e-12)
+                assert (iterations[k], converged[k]) == (it, conv)
 
 
 class TestConsistencyTrend:

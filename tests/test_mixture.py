@@ -307,6 +307,31 @@ class TestFitEM:
             assert report.loglik_trace[-1] == log_likelihood(pts, report.model)
             np.testing.assert_array_equal(report.gamma, e_step(pts, report.model))
 
+    def test_one_frechet_solve_per_m_step(self, monkeypatch):
+        import snmix.mixture as mix
+
+        calls = []
+        original = mix._frechet_columns
+
+        def counting(points, W, cfg):
+            calls.append(W.shape[1])
+            return original(points, W, cfg)
+
+        monkeypatch.setattr(mix, "_frechet_columns", counting)
+        rng = np.random.default_rng(23)
+        pts, labels, _ = separated_sample(rng, 3, (20.0, 12.0, 30.0, 16.0), (50, 60, 40, 70))
+        m_step(pts, np.eye(4)[labels - 1])
+        assert calls == [4]
+        calls.clear()
+        report = fit_em(pts, EMConfig(K=4, seed=1))
+        # one per sweep and one for the polish
+        assert calls == [4] * (report.iterations + 1)
+
+    def test_antipodal_data_rejected(self):
+        pts = np.repeat([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], 10, axis=0)
+        with pytest.raises(ValueError, match="antipod"):
+            fit_em(pts, EMConfig(K=2))
+
     def test_reseeds_recover_dead_components(self):
         # a far-away initial component gets no mass and must be recovered
         rng = np.random.default_rng(43)
