@@ -7,7 +7,6 @@ it. See the README for the CLI surface.
 
 from .distribution import (
     LAMBDA_MAX,
-    QuadratureRule,
     SNParams,
     grad_log_partition,
     log_density,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LAMBDA_MAX",
     "MAX_DISPERSION",
-    "QuadratureRule",
     "SNParams",
     "SpherePoint",
     "TangentVector",

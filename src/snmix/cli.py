@@ -127,9 +127,7 @@ def _cmd_fit(args) -> int:
     }
     print(json.dumps(doc, indent=2))
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        dataio._write_json(args.output, doc)
     return 0
 
 
@@ -143,19 +141,9 @@ def _cmd_cluster(args) -> int:
         print(f"{args.algorithm}: K={args.K} labels for {dataset.n} observations")
         if args.output:
             dataio.save_labels(f"{args.output}.labels.txt", labels)
-            with open(f"{args.output}.report.json", "w") as fh:
-                json.dump(
-                    {
-                        "algorithm": args.algorithm,
-                        "K": args.K,
-                        "seed": args.seed,
-                        "n": dataset.n,
-                        "timing_seconds": elapsed,
-                    },
-                    fh,
-                    indent=2,
-                )
-                fh.write("\n")
+            doc = {"algorithm": args.algorithm, "K": args.K, "seed": args.seed, "n": dataset.n,
+                   "timing_seconds": elapsed}
+            dataio._write_json(f"{args.output}.report.json", doc)
         return 0
 
     assignment = _SN_ALGORITHMS[args.algorithm]

@@ -21,7 +21,6 @@ from .geometry import SpherePoint, batch_exp, batch_project, geodesic_distance
 __all__ = [
     "LAMBDA_MAX",
     "SNParams",
-    "QuadratureRule",
     "log_partition",
     "log_density",
     "grad_log_partition",
@@ -31,6 +30,9 @@ __all__ = [
 LAMBDA_MAX = 1e8
 DEFAULT_QUAD_ORDER = 128
 CDF_CELLS = 4096
+# centred finite-difference offsets in units of the step h: the first three
+# form the three-point stencil, all five the five-point one
+_STENCIL_OFFSETS = np.array([0.0, -1.0, 1.0, -2.0, 2.0])
 
 
 @dataclass(frozen=True)
@@ -57,26 +59,6 @@ class SNParams:
         return self.mu.p
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes and weights affinely mapped onto [0, upper]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    @classmethod
-    def gauss_legendre(cls, order: int, upper: float = math.pi) -> "QuadratureRule":
-        if not 0.0 < upper <= math.pi:
-            raise ValueError("upper integration bound must be in (0, pi]")
-        x, w = _leggauss_base(int(order))
-        nodes = 0.5 * upper * (x + 1.0)
-        weights = 0.5 * upper * w
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(nodes, weights, int(order))
-
-
 @lru_cache(maxsize=32)
 def _leggauss_base(order: int):
     # computing the base rule is the expensive part; the affine map is cheap
@@ -86,6 +68,14 @@ def _leggauss_base(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _log_radial(p: int, lam, r):
+    """Log of the unnormalized radial density: -lam r^2 / 2 + (p-1) log sin r."""
+    log_f = -0.5 * lam * r * r
+    if p > 1:
+        log_f = log_f + (p - 1) * np.log(np.sin(r))
+    return log_f
 
 
 def _log_sphere_area(p: int) -> float:
@@ -134,13 +124,17 @@ def _log_partition_many(p: int, lams, order: int = DEFAULT_QUAD_ORDER) -> np.nda
         raise ValueError("concentration must be finite and non-negative")
     x, w = _leggauss_base(int(order))
     upper = _radial_cutoff(p, lams)[:, None]
-    r = 0.5 * upper * (x + 1.0)
-    log_f = -0.5 * lams[:, None] * r * r
-    if p > 1:
-        log_f = log_f + (p - 1) * np.log(np.sin(r))
+    log_f = _log_radial(p, lams[:, None], 0.5 * upper * (x + 1.0))
     peak = log_f.max(axis=1)
     total = (0.5 * upper * w * np.exp(log_f - peak[:, None])).sum(axis=1)
     return _log_sphere_area(p) + peak + np.log(total)
+
+
+def _stencil_log_partition(p: int, lam, h, width: int, order: int = DEFAULT_QUAD_ORDER):
+    """Nodes lam + offsets * h of the centred ``width``-point stencil, one row per
+    entry of ``lam`` (scalar or 1-D, like ``h``), and log_partition at all of them."""
+    nodes = np.asarray(lam)[..., None] + _STENCIL_OFFSETS[:width] * np.asarray(h)[..., None]
+    return nodes, _log_partition_many(p, nodes.ravel(), order).reshape(nodes.shape)
 
 
 def log_density(x, params: SNParams, order: int = DEFAULT_QUAD_ORDER):
@@ -158,12 +152,12 @@ def grad_log_partition(
 ) -> float:
     """Centered finite-difference derivative of lam -> log_partition(p, lam).
 
-    ``order`` selects the first, second, or third derivative; all three come
-    from the five-point stencil with O(h^2) truncation error. The default
-    step is h = 1e-4 * max(1, lam), which balances truncation against
-    cancellation across the useful range of lam.
+    ``order`` selects the first, second, or third derivative. Orders 1 and 2
+    use the three-point stencil lam, lam +- h and order 3 the five-point
+    stencil that adds lam +- 2h, all with O(h^2) truncation error. The
+    default step is h = 1e-4 * max(1, lam), which balances truncation
+    against cancellation across the useful range of lam.
     """
-    p = _validate_dim(p)
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
@@ -176,15 +170,12 @@ def grad_log_partition(
         raise ValueError("h must be positive")
     if lam - 2.0 * h <= 0.0:
         raise ValueError("stencil crosses zero: shrink h")
-
-    def f(t: float) -> float:
-        return log_partition(p, t, quad_order)
-
+    _, f = _stencil_log_partition(p, lam, h, 3 if order < 3 else 5, quad_order)
     if order == 1:
-        return (f(lam + h) - f(lam - h)) / (2.0 * h)
+        return float((f[2] - f[1]) / (2.0 * h))
     if order == 2:
-        return (f(lam + h) - 2.0 * f(lam) + f(lam - h)) / (h * h)
-    return (f(lam + 2 * h) - 2 * f(lam + h) + 2 * f(lam - h) - f(lam - 2 * h)) / (2.0 * h**3)
+        return float((f[2] - 2.0 * f[0] + f[1]) / (h * h))
+    return float((f[4] - 2 * f[2] + 2 * f[1] - f[3]) / (2.0 * h**3))
 
 
 @lru_cache(maxsize=64)
@@ -196,10 +187,8 @@ def _radial_cdf(p: int, lam: float, cells: int = CDF_CELLS):
     """
     upper = _radial_cutoff(p, lam)
     grid = np.linspace(0.0, upper, cells + 1)
-    log_f = -0.5 * lam * grid * grid
-    if p > 1:
-        with np.errstate(divide="ignore"):
-            log_f = log_f + (p - 1) * np.log(np.sin(grid))
+    with np.errstate(divide="ignore"):
+        log_f = _log_radial(p, lam, grid)
     dens = np.exp(log_f - np.max(log_f[np.isfinite(log_f)]))
     dens[~np.isfinite(dens)] = 0.0
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))

@@ -3,8 +3,8 @@
 Location and concentration decouple: the location MLE is the (weighted)
 Frechet mean, solved by Riemannian gradient descent; given the fitted
 location, the concentration MLE is the root of the derivative of a strictly
-convex 1-D objective, solved by Newton or Halley updates built from
-five-point finite differences of the log partition function.
+convex 1-D objective, solved by Newton (three-point) or Halley (five-point)
+finite-difference updates on the log partition function.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import LAMBDA_MAX, SNParams, _log_partition_many, log_partition
+from .distribution import LAMBDA_MAX, SNParams, _stencil_log_partition, log_partition
 from .geometry import (
     CUT_LOCUS_TOL,
     SpherePoint,
@@ -153,13 +153,6 @@ def _armijo_columns(points, W, mus, mean_log, grad_norm):
     return new, found
 
 
-def _armijo_step(points, w, mu, mean_log, grad_norm):
-    """Backtracking step along the negative gradient; None if no decrease."""
-    new, found = _armijo_columns(points, w[:, None], mu[None, :], mean_log[None, :],
-                                 np.array([grad_norm]))
-    return new[0] if found[0] else None
-
-
 def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
     """Weighted Frechet means of all K columns of ``W`` at once.
 
@@ -261,8 +254,8 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     Returns (lams, iterations, converged), each of the input's length. Every
     entry runs its own Newton or Halley iteration and stops on its own test
     |step| < epsilon * max(1, lam), which the finite-difference noise of a
-    large concentration can still meet; one :func:`_log_partition_many` call
-    per iteration evaluates the stencils of all entries still running.
+    large concentration can still meet; one :func:`_stencil_log_partition`
+    call per iteration evaluates the stencils of all entries still running.
     """
     d = np.asarray(dispersions, dtype=float)
     if np.any(d <= 1e-12):
@@ -270,8 +263,7 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     if np.any(d >= MAX_DISPERSION):
         raise ValueError(f"dispersion must be below pi^2/2 = {MAX_DISPERSION:.6f}")
     halley = cfg.method == "halley"
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0] if halley else [-1.0, 0.0, 1.0])
-    mid = len(offsets) // 2
+    width = 5 if halley else 3
     # Moment-matched start: E[d^2] ~ p / lam for concentrated data.
     lams = np.minimum(p / (2.0 * d), 0.5 * LAMBDA_MAX)
     iterations = np.full(d.shape, cfg.max_iter)
@@ -280,16 +272,16 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     active, lam, da = np.arange(d.size), lams.copy(), d[:, None]
     for t in range(1, cfg.max_iter + 1):
         h = np.minimum(cfg.h_scale * np.maximum(1.0, lam), 0.25 * lam)
-        stencil = lam[:, None] + offsets * h[:, None]
-        g = da * stencil + _log_partition_many(p, stencil.ravel()).reshape(stencil.shape)
-        g_minus, g_0, g_plus = g[:, mid - 1], g[:, mid], g[:, mid + 1]
+        stencil, log_z = _stencil_log_partition(p, lam, h, width)
+        g = da * stencil + log_z
+        g_0, g_minus, g_plus = g[:, 0], g[:, 1], g[:, 2]
         a = g_plus - g_minus
         b = g_plus - 2.0 * g_0 + g_minus
         usable = np.isfinite(a) & np.isfinite(b) & (b > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             new = lam - 0.5 * h * (a / b)
             if halley:
-                c = g[:, 4] - 2.0 * g_plus + 2.0 * g_minus - g[:, 0]
+                c = g[:, 4] - 2.0 * g_plus + 2.0 * g_minus - g[:, 3]
                 denom = 8.0 * b * b - a * c
                 new = np.where(np.isfinite(denom) & (denom > 0.0), lam - 4.0 * h * (a * b / denom), new)
         if not usable.all():
@@ -319,7 +311,7 @@ def concentration_mle(dispersion: float, p: int, cfg: ConcentrationConfig | None
     """Concentration whose model dispersion matches the observed one.
 
     Solves for the unique stationary point of the profiled objective via
-    Newton (default) or Halley iterations on five-point finite differences.
+    Newton (default, three-point) or Halley (five-point) finite differences.
     Raises for a degenerate sample (dispersion ~ 0, concentration diverges)
     and for dispersion at or beyond pi^2/2.
     """

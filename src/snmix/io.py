@@ -120,10 +120,15 @@ def load_labels(path) -> np.ndarray:
         return np.array([int(line.strip()) for line in fh if line.strip()], dtype=int)
 
 
-def save_model(path, model: MixtureModel) -> None:
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as two-space indented JSON ending in a newline."""
     with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def save_model(path, model: MixtureModel) -> None:
+    _write_json(path, model.to_dict())
 
 
 def load_model(path) -> MixtureModel:
@@ -152,6 +157,4 @@ def save_report(
         doc["criteria"] = criteria
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)

@@ -27,7 +27,7 @@ from .estimation import (
     _frechet_columns,
     _normalized_weights,
 )
-from .geometry import SpherePoint, _distance_matrix, _unit_rows, geodesic_distance, unitize
+from .geometry import SpherePoint, _distance_matrix, _unit_rows, unitize
 from .metrics import kmeans
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
 
 _EMPTY_COLUMN_FRACTION = 1e-8   # column mass below this * N counts as an empty cluster
 _DISPERSION_FLOOR = 1e-10       # keeps collapsed clusters finite instead of raising mid-EM
+_SWEEP_EPSILON = 1e-6           # loosest inner-solver tolerance used during the EM sweeps
 
 
 @dataclass(frozen=True)
@@ -238,17 +239,18 @@ def m_step(
         raise ValueError("empty cluster: responsibilities carry no mass for some component")
     W = _normalized_weights(n, g)
     mus, _, _ = _frechet_columns(x, W, frechet_cfg or FrechetConfig())
-    dispersions = 0.5 * np.sum(W * np.square(_distance_matrix(x, mus)), axis=0)
-    return _assemble(mus, dispersions, col, n, concentration_mode, conc_cfg or ConcentrationConfig())
+    return _assemble(x, W, mus, col, concentration_mode, conc_cfg or ConcentrationConfig())
 
 
-def _assemble(mus, dispersions, col, n: int, concentration_mode: str, conc_cfg) -> MixtureModel:
-    """Mixture from (K, p+1) locations, dispersions and column masses over ``n`` rows.
+def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg) -> MixtureModel:
+    """Mixture on the rows ``x`` from (K, p+1) locations and column-normalized memberships ``W``.
 
-    Weights are ``col / n``; concentrations come from each clipped dispersion,
-    or from their ``col``-weighted pool in homogeneous mode.
+    Weights are ``col / n``; concentrations come from each clipped dispersion (half the
+    ``W``-weighted mean squared distance), or from their ``col``-weighted pool in
+    homogeneous mode.
     """
-    p = mus.shape[1] - 1
+    n, p = x.shape[0], mus.shape[1] - 1
+    dispersions = 0.5 * np.sum(W * np.square(_distance_matrix(x, mus)), axis=0)
     # collapsed clusters would otherwise raise as degenerate; cap instead
     dispersions = np.clip(dispersions, _DISPERSION_FLOOR, MAX_DISPERSION - 1e-9)
     if concentration_mode == "homogeneous":
@@ -269,23 +271,22 @@ def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:
     return gamma
 
 
+def _loosened(cfg):
+    """``cfg`` with its tolerance relaxed to at least ``_SWEEP_EPSILON``."""
+    return replace(cfg, epsilon=max(cfg.epsilon, _SWEEP_EPSILON))
+
+
 def _init_from_kmeans(x: np.ndarray, cfg: EMConfig, seed) -> MixtureModel:
-    """Initial parameters from Lloyd clustering on the ambient coordinates."""
+    """Initial parameters from Lloyd clustering: the M-step's tail on the one-hot labels, at
+    the normalized member means (a cluster's first member where its mean cancels)."""
     labels = kmeans(x, cfg.K, seed=seed)
-    loose_c = replace(cfg.concentration, epsilon=max(cfg.concentration.epsilon, 1e-6))
-    mus, dispersions, counts = [], [], []
-    for j in range(1, cfg.K + 1):
-        members = x[labels == j]
-        centroid = members.mean(axis=0)
-        if np.linalg.norm(centroid) < 1e-8:
-            centroid = members[0]
-        mu = unitize(centroid)
-        mus.append(mu)
-        d2 = np.square(geodesic_distance(members, mu))
-        dispersions.append(0.5 * float(d2.mean()))
-        counts.append(len(members))
-    counts = np.asarray(counts, dtype=float)
-    return _assemble(np.array(mus), dispersions, counts, x.shape[0], cfg.concentration_mode, loose_c)
+    onehot = (labels[:, None] == np.arange(1, cfg.K + 1)).astype(float)
+    W = _normalized_weights(x.shape[0], onehot)
+    centroids = W.T @ x
+    flat = np.linalg.norm(centroids, axis=1) < 1e-8
+    centroids[flat] = x[np.argmax(onehot[:, flat], axis=0)]
+    return _assemble(x, W, unitize(centroids), onehot.sum(axis=0), cfg.concentration_mode,
+                     _loosened(cfg.concentration))
 
 
 def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):
@@ -339,8 +340,7 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     if model.K != cfg.K or model.p != x.shape[1] - 1:
         raise ValueError("init_model shape does not match the configuration")
 
-    loose_f = replace(cfg.frechet, epsilon=max(cfg.frechet.epsilon, 1e-6))
-    loose_c = replace(cfg.concentration, epsilon=max(cfg.concentration.epsilon, 1e-6))
+    loose_f, loose_c = _loosened(cfg.frechet), _loosened(cfg.concentration)
     posterior, row_loglik = _posterior(x, model)
     trace = [float(np.sum(row_loglik))]
     threshold = cfg.epsilon_gamma * math.sqrt(n * cfg.K)

@@ -9,7 +9,6 @@ from scipy.special import erf, gammaln
 
 from snmix.distribution import (
     LAMBDA_MAX,
-    QuadratureRule,
     SNParams,
     _log_partition_many,
     grad_log_partition,
@@ -36,20 +35,26 @@ def sphere_hypervolume(p: int) -> float:
     return 2.0 * math.pi ** ((p + 1) / 2.0) / math.exp(gammaln((p + 1) / 2.0))
 
 
-class TestQuadratureRule:
-    def test_weights_sum_to_interval_length(self):
-        for order in (16, 128, 512):
-            rule = QuadratureRule.gauss_legendre(order)
-            assert abs(float(rule.weights.sum()) - math.pi) < 1e-10
-            assert np.all(rule.nodes > 0.0) and np.all(rule.nodes < math.pi)
-            assert np.all(rule.weights > 0.0)
+def scalar_call_grad_log_partition(p: int, lam: float, order: int) -> float:
+    """Reference: the stencil of ``grad_log_partition`` built from one scalar
+    ``log_partition`` call per node, at the default step."""
+    h = 1e-4 * max(1.0, lam)
 
-    def test_rejects_tiny_order(self):
-        with pytest.raises(ValueError):
-            QuadratureRule.gauss_legendre(1)
+    def f(t: float) -> float:
+        return log_partition(p, t)
+
+    if order == 1:
+        return (f(lam + h) - f(lam - h)) / (2.0 * h)
+    if order == 2:
+        return (f(lam + h) - 2.0 * f(lam) + f(lam - h)) / (h * h)
+    return (f(lam + 2 * h) - 2 * f(lam + h) + 2 * f(lam - h) - f(lam - 2 * h)) / (2.0 * h**3)
 
 
 class TestLogPartition:
+    def test_rejects_tiny_order(self):
+        with pytest.raises(ValueError):
+            log_partition(2, 1.0, order=1)
+
     def test_uniform_on_s2(self):
         assert log_partition(2, 0.0) == pytest.approx(math.log(4.0 * math.pi), abs=1e-12)
 
@@ -143,6 +148,13 @@ class TestGradLogPartition:
         f = lambda t: mpmath.log(mpmath.sqrt(2 * mpmath.pi / t) * mpmath.erf(mpmath.pi * mpmath.sqrt(t / 2)))
         oracle = float(mpmath.diff(f, mpmath.mpf(10), 3))
         assert grad_log_partition(1, 10.0, order=3, h=0.05) == pytest.approx(oracle, rel=1e-2)
+
+    def test_one_call_stencil_equals_scalar_calls(self):
+        for p in (1, 2, 3, 5, 10, 20):
+            for lam in np.logspace(-2.0, 7.0, 60):
+                for order in (1, 2, 3):
+                    got = grad_log_partition(p, float(lam), order=order)
+                    assert got == scalar_call_grad_log_partition(p, float(lam), order), (p, lam, order)
 
     def test_stencil_guard(self):
         with pytest.raises(ValueError, match="shrink h"):

@@ -110,12 +110,14 @@ class TestWeightedFrechetMean:
             grad_norm = 2.0 * float(np.linalg.norm(mean_log))
             if grad_norm < cfg.epsilon:
                 break
-            from snmix.estimation import _armijo_step
+            from snmix.estimation import _armijo_columns
 
-            nxt = _armijo_step(pts, w, mu, mean_log, grad_norm)
-            if nxt is None:
+            nxt, found = _armijo_columns(
+                pts, w[:, None], mu[None, :], mean_log[None, :], np.array([grad_norm])
+            )
+            if not found[0]:
                 break
-            mu = nxt
+            mu = nxt[0]
             values.append(frechet_value(pts, w, mu))
         assert np.all(np.diff(values) <= 0.0)
 

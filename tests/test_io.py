@@ -95,6 +95,13 @@ class TestRoundTrips:
             assert a.lam == b.lam
         assert back.concentration_mode == model.concentration_mode
 
+    def test_json_files_are_indented_with_trailing_newline(self, tmp_path):
+        doc = {"a": [1.5, 2], "b": {"c": None, "d": True}}
+        path = tmp_path / "doc.json"
+        dataio._write_json(path, doc)
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+        assert "_write_json" not in dataio.__all__
+
     def test_report_contents(self, tmp_path):
         pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 20.0), 60, 0)
         report = fit_em(pts, EMConfig(K=1, seed=0))

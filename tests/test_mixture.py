@@ -2,13 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from snmix import simulate
 from snmix.distribution import SNParams, sample
-from snmix.estimation import fit_sn, weighted_frechet_mean
+from snmix.estimation import MAX_DISPERSION, concentration_mle, fit_sn, weighted_frechet_mean
 from snmix.geometry import SpherePoint, batch_exp, batch_project, geodesic_distance, unitize
+from snmix.metrics import kmeans
 from snmix.mixture import (
     EMConfig,
     EMReport,
@@ -344,6 +347,71 @@ class TestFitEM:
         report = fit_em(pts, EMConfig(K=3, seed=0), init_model=init)
         assert report.reseeds >= 1
         assert np.all(report.gamma.sum(axis=0) > 0.0)
+
+
+def per_cluster_init(x, cfg, seed):
+    """Reference: the k-means initializer written one cluster at a time.
+
+    Returns (locations, concentrations, weights).
+    """
+    labels = kmeans(x, cfg.K, seed=seed)
+    conc = replace(cfg.concentration, epsilon=max(cfg.concentration.epsilon, 1e-6))
+    mus, dispersions, counts = [], [], []
+    for j in range(1, cfg.K + 1):
+        members = x[labels == j]
+        centroid = members.mean(axis=0)
+        if np.linalg.norm(centroid) < 1e-8:
+            centroid = members[0]
+        mu = unitize(centroid)
+        mus.append(mu)
+        d2 = np.square(geodesic_distance(members, mu))
+        dispersions.append(0.5 * float(d2.mean()))
+        counts.append(len(members))
+    counts = np.asarray(counts, dtype=float)
+    dispersions = np.clip(dispersions, 1e-10, MAX_DISPERSION - 1e-9)
+    p = x.shape[1] - 1
+    if cfg.concentration_mode == "homogeneous":
+        pooled = float(np.sum(dispersions * counts) / len(x))
+        pooled = min(max(pooled, 1e-10), MAX_DISPERSION - 1e-9)
+        lams = np.full(cfg.K, concentration_mle(pooled, p, conc))
+    else:
+        lams = np.array([concentration_mle(d, p, conc) for d in dispersions])
+    return np.array(mus), lams, counts / len(x)
+
+
+class TestInitFromKmeans:
+    """The one-hot initializer against the per-cluster reference: weights
+    exactly, locations to 1e-11 absolute and concentrations to 1e-10 relative
+    (the matrix products sum in a different order)."""
+
+    def assert_matches_reference(self, x, cfg):
+        seed = np.random.SeedSequence(cfg.seed).spawn(2)[0]
+        model = _init_from_kmeans(x, cfg, seed)
+        mus, lams, weights = per_cluster_init(x, cfg, seed)
+        np.testing.assert_array_equal(model.weights, weights)
+        np.testing.assert_allclose(model.locations(), mus, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(model.concentrations(), lams, rtol=1e-10, atol=0.0)
+        assert model.concentration_mode == cfg.concentration_mode
+
+    @pytest.mark.parametrize("mode", ["heterogeneous", "homogeneous"])
+    def test_household_mix(self, mode):
+        for seed in (1, 2, 3):
+            x, _ = simulate.household_mix(seed=seed)
+            for k in (2, 3, 4, 5):
+                self.assert_matches_reference(x, EMConfig(K=k, seed=seed, concentration_mode=mode))
+
+    def test_separated_clusters(self):
+        rng = np.random.default_rng(47)
+        x, _, _ = separated_sample(rng, 4, (8.0, 30.0, 200.0), (50, 40, 60))
+        for k in (1, 2, 3, 4):
+            self.assert_matches_reference(x, EMConfig(K=k, seed=k))
+
+    def test_cancelling_mean_falls_back_to_first_member(self):
+        x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        cfg = EMConfig(K=1)
+        self.assert_matches_reference(x, cfg)
+        model = _init_from_kmeans(x, cfg, np.random.SeedSequence(0).spawn(2)[0])
+        np.testing.assert_array_equal(model.locations()[0], x[0])
 
 
 @pytest.mark.parametrize(
