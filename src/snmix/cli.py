@@ -190,9 +190,7 @@ def _cmd_sample(args) -> int:
     if args.output:
         dataio.save_points(args.output, points)
     else:
-        writer = csv.writer(sys.stdout)
-        for row in points:
-            writer.writerow([repr(float(v)) for v in row])
+        dataio._write_points(sys.stdout, points)
     return 0
 
 

@@ -21,7 +21,6 @@ from .geometry import (
     _distance_matrix,
     _unit_rows,
     batch_exp,
-    geodesic_distance,
     unitize,
 )
 
@@ -121,9 +120,9 @@ def _normalized_weights(n: int, weights) -> np.ndarray:
     return out.reshape(w.shape)
 
 
-def _frechet_objectives(points: np.ndarray, W: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """sum_n W[n, k] d^2(x_n, mus[k]) for every column k."""
-    return (W * np.square(_distance_matrix(points, mus))).sum(axis=0)
+def _dispersions(points: np.ndarray, W: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """Weighted dispersion 1/2 sum_n W[n, k] d^2(x_n, mus[k]) for every column k."""
+    return 0.5 * (W * np.square(_distance_matrix(points, mus))).sum(axis=0)
 
 
 def _armijo_columns(points, W, mus, mean_log, grad_norm):
@@ -131,16 +130,17 @@ def _armijo_columns(points, W, mus, mean_log, grad_norm):
 
     Returns (new, found): ``new[k]`` is the accepted candidate where
     ``found[k]`` and the unchanged ``mus[k]`` elsewhere. Each column halves
-    its own step until its Armijo test passes or the halvings run out.
+    its own step until its Armijo test passes or the halvings run out. The
+    test is on the dispersion, half of sum_n w_n d^2, so its decrease is halved.
     """
-    f0 = _frechet_objectives(points, W, mus)
+    f0 = _dispersions(points, W, mus)
     new = mus.copy()
     found = np.zeros(mus.shape[0], dtype=bool)
     todo = np.arange(mus.shape[0])
     alpha = 1.0
     for _ in range(_ARMIJO_MAX_HALVINGS):
         cand = unitize(batch_exp(mus, 2.0 * alpha * mean_log))
-        ok = _frechet_objectives(points, W, cand) <= f0 - _ARMIJO_C * alpha * np.square(grad_norm)
+        ok = _dispersions(points, W, cand) <= f0 - 0.5 * _ARMIJO_C * alpha * np.square(grad_norm)
         if ok.any():
             new[todo[ok]] = cand[ok]
             found[todo[ok]] = True
@@ -337,9 +337,9 @@ def fit_sn(
     frechet_cfg = frechet_cfg or FrechetConfig()
     conc_cfg = conc_cfg or ConcentrationConfig()
     mu, it_mu, conv_mu = _frechet(x, w, frechet_cfg)
-    d = np.atleast_1d(geodesic_distance(x, mu))
-    dispersion = float(0.5 * np.sum(w * d * d))
-    support_ok = bool(np.max(d) < 0.5 * math.pi)
+    dispersion = float(_dispersions(x, w[:, None], mu[None])[0])
+    # d(x, mu) < pi/2 exactly when <x, mu> > 0
+    support_ok = bool(np.all(x @ mu > 0.0))
     lam, it_lam, conv_lam = _concentration(dispersion, x.shape[1] - 1, conc_cfg)
     return MLEResult(
         params=SNParams(SpherePoint(mu), lam),

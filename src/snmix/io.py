@@ -98,13 +98,17 @@ def load_csv(path, normalize: bool = False, has_header: bool = False) -> Dataset
     return Dataset(points=x, source=str(path))
 
 
+def _write_points(fh, points) -> None:
+    """Write point rows to the open text stream ``fh`` as CSV with exact float round-tripping."""
+    writer = csv.writer(fh)
+    for row in np.atleast_2d(np.asarray(points, dtype=float)):
+        writer.writerow([repr(float(v)) for v in row])
+
+
 def save_points(path, points) -> None:
     """Write point rows as CSV with exact float round-tripping."""
-    x = np.asarray(points, dtype=float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(x):
-            writer.writerow([repr(float(v)) for v in row])
+        _write_points(fh, points)
 
 
 def save_labels(path, labels) -> None:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distribution import SNParams, _log_partition_many
 from .distribution import sample as sn_sample
@@ -24,6 +23,7 @@ from .estimation import (
     FrechetConfig,
     _concentration,
     _concentration_columns,
+    _dispersions,
     _frechet_columns,
     _normalized_weights,
 )
@@ -109,12 +109,19 @@ class MixtureModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MixtureModel":
-        comps = tuple(
-            SNParams(SpherePoint(entry["mu"]), float(entry["lambda"]))
-            for entry in doc["components"]
-        )
-        model = cls(comps, np.asarray(doc["weights"], dtype=float), doc.get("mode", "heterogeneous"))
-        if model.p != int(doc["p"]) or model.K != int(doc["K"]):
+        """Inverse of :meth:`to_dict`; a malformed document raises ``ValueError``."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("components"), list):
+            raise ValueError("model document must be an object with a 'components' list")
+        try:
+            comps = tuple(SNParams(SpherePoint(c["mu"]), float(c["lambda"])) for c in doc["components"])
+            weights, mode = np.asarray(doc["weights"], dtype=float), doc.get("mode", "heterogeneous")
+            p, K = int(doc["p"]), int(doc["K"])
+        except KeyError as exc:
+            raise ValueError(f"model document lacks {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed model document: {exc}") from None
+        model = cls(comps, weights, mode)
+        if model.p != p or model.K != K:
             raise ValueError("model document is inconsistent with its components")
         return model
 
@@ -124,9 +131,9 @@ class EMConfig:
     """EM driver settings.
 
     ``assignment`` selects the soft responsibilities or the hard/stochastic
-    one-hot heuristics applied after every E-step. Convergence is judged on
-    the Frobenius change of the membership matrix (scaled by sqrt(N*K)), or
-    on the log-likelihood change when ``stop_rule`` is "loglik".
+    one-hot heuristics applied after every E-step. A run has converged once
+    the Frobenius change of the membership matrix between sweeps falls below
+    ``epsilon_gamma * sqrt(N*K)``.
     """
 
     K: int
@@ -135,8 +142,6 @@ class EMConfig:
     epsilon_gamma: float = 1e-6
     max_iter: int = 200
     seed: int = 0
-    stop_rule: str = "gamma"
-    epsilon_loglik: float = 1e-8
     frechet: FrechetConfig = FrechetConfig()
     concentration: ConcentrationConfig = ConcentrationConfig()
 
@@ -147,10 +152,8 @@ class EMConfig:
             raise ValueError("assignment must be 'soft', 'hard' or 'stochastic'")
         if self.concentration_mode not in ("heterogeneous", "homogeneous"):
             raise ValueError("concentration_mode must be 'heterogeneous' or 'homogeneous'")
-        if self.stop_rule not in ("gamma", "loglik"):
-            raise ValueError("stop_rule must be 'gamma' or 'loglik'")
-        if self.epsilon_gamma <= 0.0 or self.epsilon_loglik <= 0.0 or self.max_iter < 1:
-            raise ValueError("tolerances and max_iter must be positive")
+        if self.epsilon_gamma <= 0.0 or self.max_iter < 1:
+            raise ValueError("epsilon_gamma and max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,10 +181,13 @@ def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
 
 def _posterior(x: np.ndarray, model: MixtureModel):
     """(gamma, row_loglik) from one pass: responsibilities and log sum_k pi_k f_k(x_n)."""
+    if x.shape[1] != model.p + 1:
+        raise ValueError("points and model must live on the same sphere")
     log_joint = _log_joint(x, model)
-    row_loglik = logsumexp(log_joint, axis=1, keepdims=True)
-    gamma = np.exp(log_joint - row_loglik)
-    return gamma / gamma.sum(axis=1, keepdims=True), row_loglik[:, 0]
+    peak = log_joint.max(axis=1, keepdims=True)
+    joint = np.exp(log_joint - peak)  # each row's largest term is exp(0) = 1
+    total = joint.sum(axis=1, keepdims=True)
+    return joint / total, (peak + np.log(total))[:, 0]
 
 
 def e_step(data, model: MixtureModel) -> np.ndarray:
@@ -231,9 +237,9 @@ def m_step(
     """
     x = _unit_rows(data)
     g = np.asarray(gamma, dtype=float)
-    n, _ = g.shape
-    if n != x.shape[0]:
-        raise ValueError("gamma rows must match the number of observations")
+    n = x.shape[0]
+    if g.ndim != 2 or g.shape[0] != n:
+        raise ValueError("gamma must be an (n, K) matrix with one row per observation")
     col = g.sum(axis=0)
     if np.any(col <= _EMPTY_COLUMN_FRACTION * n):
         raise ValueError("empty cluster: responsibilities carry no mass for some component")
@@ -250,7 +256,7 @@ def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg) -> MixtureModel
     homogeneous mode.
     """
     n, p = x.shape[0], mus.shape[1] - 1
-    dispersions = 0.5 * np.sum(W * np.square(_distance_matrix(x, mus)), axis=0)
+    dispersions = _dispersions(x, W, mus)
     # collapsed clusters would otherwise raise as degenerate; cap instead
     dispersions = np.clip(dispersions, _DISPERSION_FLOOR, MAX_DISPERSION - 1e-9)
     if concentration_mode == "homogeneous":
@@ -325,7 +331,7 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     Initialization comes from ambient k-means (10 restarts) unless an
     ``init_model`` is supplied. Each sweep runs E-step, the configured
     assignment heuristic, then M-step; the loop stops once the membership
-    matrix stalls (or the log-likelihood, under ``stop_rule="loglik"``).
+    matrix stalls (see :class:`EMConfig`) or ``max_iter`` sweeps have run.
     Inner solves run at a slightly loosened tolerance during the sweeps and
     a final full-precision M-step polishes the returned model, so a K=1 run
     reproduces :func:`snmix.estimation.fit_sn` exactly.
@@ -345,7 +351,6 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     trace = [float(np.sum(row_loglik))]
     threshold = cfg.epsilon_gamma * math.sqrt(n * cfg.K)
     gamma_prev = None
-    gamma = None
     reseeds = 0
     iterations = 0
     converged = False
@@ -353,20 +358,13 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
         gamma = _apply_assignment(posterior, cfg.assignment, rng)
         model, gamma, n_new = _reseed_empty(x, model, gamma, row_loglik, cfg.assignment, rng)
         reseeds += n_new
-        if (
-            cfg.stop_rule == "gamma"
-            and gamma_prev is not None
-            and float(np.linalg.norm(gamma - gamma_prev)) < threshold
-        ):
+        if gamma_prev is not None and float(np.linalg.norm(gamma - gamma_prev)) < threshold:
             converged = True
             break
         iterations = t + 1
         model = m_step(x, gamma, cfg.concentration_mode, loose_f, loose_c)
         posterior, row_loglik = _posterior(x, model)
         trace.append(float(np.sum(row_loglik)))
-        if cfg.stop_rule == "loglik" and abs(trace[-1] - trace[-2]) < cfg.epsilon_loglik:
-            converged = True
-            break
         gamma_prev = gamma
 
     model = m_step(x, gamma, cfg.concentration_mode, cfg.frechet, cfg.concentration)

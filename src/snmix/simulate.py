@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from .distribution import SNParams, sample as sn_sample
-from .estimation import ConcentrationConfig, FrechetConfig, _concentration, _frechet
+from .estimation import ConcentrationConfig, FrechetConfig, _concentration, _dispersions, _frechet
 from .geometry import batch_exp, batch_log, geodesic_distance, unitize
 
 __all__ = [
@@ -160,8 +160,7 @@ def estimation_benchmark(
                     if do_lam:
                         if mu_hat is None:
                             mu_hat, _, _ = _frechet(x, w, FrechetConfig(epsilon=eps))
-                        d2 = np.square(geodesic_distance(x, mu_hat))
-                        dispersion = 0.5 * float(d2.mean())
+                        dispersion = float(_dispersions(x, w[:, None], mu_hat[None])[0])
                         for method in ("newton", "halley"):
                             cfg = ConcentrationConfig(method=method, epsilon=eps)
                             t0 = time.perf_counter()

@@ -155,6 +155,31 @@ class TestSample:
     def test_missing_parameters_exit_2(self, capsys):
         assert run(["sample", "-n", 5]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"p": 2, "K": 1, "weights": [1.0]},
+            {"p": 2, "K": 1, "components": [{"mu": [0.0, 0.0, 1.0]}], "weights": [1.0]},
+            {"p": 2, "K": 1, "components": 5, "weights": [1.0]},
+            [{"mu": [0.0, 0.0, 1.0], "lambda": 5.0}],
+        ],
+        ids=["no_components", "no_lambda", "components_not_a_list", "top_level_list"],
+    )
+    def test_malformed_model_exits_2(self, tmp_path, capsys, doc):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        assert run(["sample", "--model", model_path, "-n", 5]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model" in err
+
+    def test_stdout_bytes_equal_output_file(self, tmp_path, capsys):
+        out = tmp_path / "draws.csv"
+        argv = ["sample", "--mu", "0,1,1", "--lambda", "7", "-n", 40, "--seed", 3]
+        assert run(argv + ["--output", out]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
 
 class TestSimulate:
     def test_small_mix_shapes(self, tmp_path):

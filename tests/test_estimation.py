@@ -13,6 +13,7 @@ from snmix.estimation import (
     MLEResult,
     _concentration,
     _concentration_columns,
+    _dispersions,
     _frechet,
     _frechet_columns,
     concentration_mle,
@@ -327,6 +328,19 @@ class TestColumnSolvers:
                 lam, it, conv = _concentration(dispersion, p, cfg)
                 assert lams[k] == pytest.approx(lam, rel=1e-12)
                 assert (iterations[k], converged[k]) == (it, conv)
+
+    def test_dispersions_match_geodesic_distances(self):
+        rng = np.random.default_rng(61)
+        pts = unitize(rng.standard_normal((50, 4)))
+        mus = unitize(rng.standard_normal((3, 4)))
+        W = rng.uniform(0.0, 1.0, (50, 3))
+        W[9] = 0.0
+        W[:, 2] = 0.0
+        W[4, 2] = 1.0  # a one-point column
+        got = _dispersions(pts, W, mus)
+        for k in range(3):
+            ref = 0.5 * np.sum(W[:, k] * np.square(geodesic_distance(pts, mus[k])))
+            assert got[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 class TestConsistencyTrend:
