@@ -46,7 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="maximum likelihood fit of one component")
     add_io(fit)
     fit.add_argument("--step-rule", choices=["fixed", "line-search"], default="fixed")
-    fit.add_argument("--alpha", type=float, default=0.25, help="fixed step size")
+    fit.add_argument(
+        "--alpha",
+        type=float,
+        default=FrechetConfig.alpha,
+        help="fixed step size, in (0, 1] (default: %(default)s, the 1/L step)",
+    )
     fit.add_argument("--method", choices=["newton", "halley"], default="newton")
     fit.add_argument("--eps", type=float, default=1e-8, help="stopping tolerance")
     fit.add_argument("--h-scale", type=float, default=1e-4, help="finite-difference step scale")

@@ -78,6 +78,7 @@ def _log_radial(p: int, lam, r):
     return log_f
 
 
+@lru_cache(maxsize=None)
 def _log_sphere_area(p: int) -> float:
     # surface area of S^(p-1): 2 pi^(p/2) / Gamma(p/2)
     return math.log(2.0) + 0.5 * p * math.log(math.pi) - float(gammaln(0.5 * p))
@@ -89,10 +90,14 @@ def _radial_cutoff(p: int, lam):
     The radial law behaves like a chi distribution with p degrees of freedom
     scaled by 1/sqrt(lam), so everything beyond (sqrt(p) + 10)/sqrt(lam) is
     below 1e-20 of the peak. Shrinking the domain keeps a fixed-order rule
-    well resolved for concentrated densities.
+    well resolved for concentrated densities. lam = 0, the uniform law,
+    integrates over the whole half-turn [0, pi].
     """
+    root = np.sqrt(lam)
+    if root.all():
+        return np.minimum(math.pi, (10.0 + math.sqrt(p)) / root)
     with np.errstate(divide="ignore"):
-        return np.minimum(math.pi, (10.0 + math.sqrt(p)) / np.sqrt(lam))
+        return np.minimum(math.pi, (10.0 + math.sqrt(p)) / root)
 
 
 def _validate_dim(p) -> int:
@@ -122,6 +127,12 @@ def _log_partition_many(p: int, lams, order: int = DEFAULT_QUAD_ORDER) -> np.nda
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all() or (lams < 0.0).any():
         raise ValueError("concentration must be finite and non-negative")
+    return _log_partition_nodes(p, lams, order)
+
+
+def _log_partition_nodes(p: int, lams: np.ndarray, order: int) -> np.ndarray:
+    """:func:`_log_partition_many` without its input checks, for callers whose
+    ``p`` is a valid dimension and whose ``lams`` are finite, non-negative floats."""
     x, w = _leggauss_base(int(order))
     upper = _radial_cutoff(p, lams)[:, None]
     log_f = _log_radial(p, lams[:, None], 0.5 * upper * (x + 1.0))
@@ -132,9 +143,14 @@ def _log_partition_many(p: int, lams, order: int = DEFAULT_QUAD_ORDER) -> np.nda
 
 def _stencil_log_partition(p: int, lam, h, width: int, order: int = DEFAULT_QUAD_ORDER):
     """Nodes lam + offsets * h of the centred ``width``-point stencil, one row per
-    entry of ``lam`` (scalar or 1-D, like ``h``), and log_partition at all of them."""
+    entry of ``lam`` (scalar or 1-D, like ``h``), and log_partition at all of them.
+
+    The caller validates ``p`` and keeps every node finite and positive
+    (finite lam, 0 < h, lam - (width // 2) * h > 0), so the nodes are not
+    checked again.
+    """
     nodes = np.asarray(lam)[..., None] + _STENCIL_OFFSETS[:width] * np.asarray(h)[..., None]
-    return nodes, _log_partition_many(p, nodes.ravel(), order).reshape(nodes.shape)
+    return nodes, _log_partition_nodes(p, nodes.ravel(), order).reshape(nodes.shape)
 
 
 def log_density(x, params: SNParams, order: int = DEFAULT_QUAD_ORDER):
@@ -158,6 +174,7 @@ def grad_log_partition(
     default step is h = 1e-4 * max(1, lam), which balances truncation
     against cancellation across the useful range of lam.
     """
+    p = _validate_dim(p)
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
@@ -166,7 +183,7 @@ def grad_log_partition(
     if h is None:
         h = 1e-4 * max(1.0, lam)
     h = float(h)
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("h must be positive")
     if lam - 2.0 * h <= 0.0:
         raise ValueError("stencil crosses zero: shrink h")

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import LAMBDA_MAX, SNParams, _stencil_log_partition, log_partition
+from .distribution import (
+    LAMBDA_MAX,
+    SNParams,
+    _stencil_log_partition,
+    _validate_dim,
+    log_partition,
+)
 from .geometry import (
     CUT_LOCUS_TOL,
     SpherePoint,
@@ -46,14 +52,17 @@ _ARMIJO_MAX_HALVINGS = 30
 class FrechetConfig:
     """Settings for the weighted Frechet mean solver.
 
-    ``step_rule`` is either "fixed" (constant step ``alpha``) or
-    "line_search" (backtracking from 1 with an Armijo test). Iterations stop
-    when the gradient norm or the iterate displacement falls below
-    ``epsilon``.
+    ``step_rule`` is either "fixed" (constant step ``alpha`` along the
+    negative gradient) or "line_search" (backtracking from 1 with an Armijo
+    test). The default ``alpha = 0.5`` is the 1/L step: the Hessian of
+    1/2 sum_n w_n d^2(x_n, mu) is at most the identity away from the cut
+    locus, so the update is mu <- Exp_mu(sum_n w_n Log_mu(x_n)), the
+    Karcher-mean iteration. Iterations stop when the gradient norm or the
+    iterate displacement falls below ``epsilon``.
     """
 
     step_rule: str = "fixed"
-    alpha: float = 0.25
+    alpha: float = 0.5
     epsilon: float = 1e-8
     max_iter: int = 500
 
@@ -153,6 +162,17 @@ def _armijo_columns(points, W, mus, mean_log, grad_norm):
     return new, found
 
 
+def _log_factor(C: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """theta / sin(theta), 1 at theta = 0, for cosines C in (-1, 1] and theta = arccos(C).
+
+    sin(theta) is taken from the cosine as sqrt((1 - C)(1 + C)), which costs
+    less than np.sin and keeps full relative accuracy up to theta = pi: for
+    |C| >= 1/2 the smaller of 1 - C and 1 + C is exact.
+    """
+    sin = np.sqrt((1.0 - C) * (1.0 + C))
+    return np.divide(theta, sin, out=np.ones_like(theta), where=theta > 0.0)
+
+
 def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
     """Weighted Frechet means of all K columns of ``W`` at once.
 
@@ -175,13 +195,14 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
     # is indexed out only when it stops, so a K=1 solve never re-indexes
     active, mu, Wa = np.arange(k), mus.copy(), W
     for t in range(1, cfg.max_iter + 1):
-        C = (points @ mu.T).clip(-1.0, 1.0)
+        C = points @ mu.T
+        np.clip(C, -1.0, 1.0, out=C)
         theta = np.arccos(C)
         if theta.max() > np.pi - CUT_LOCUS_TOL:
             raise ValueError(
                 "points include the antipode of a location estimate; the Frechet mean is undefined"
             )
-        F = Wa * np.divide(theta, np.sin(theta), out=np.ones_like(theta), where=theta > 0.0)
+        F = Wa * _log_factor(C, theta)
         # sum_n F_nk C_nk mu_k = (G_k . mu_k) mu_k, so only G needs the N rows
         G = F.T @ points
         mean_log = G - (G * mu).sum(axis=1)[:, None] * mu
@@ -227,7 +248,7 @@ def weighted_frechet_mean(points, weights=None, cfg: FrechetConfig | None = None
     points : (n, p+1) array of unit rows.
     weights : optional non-negative weights, normalized internally so only
         their proportions matter; ``None`` means uniform.
-    cfg : solver settings; defaults to a fixed step of 0.25.
+    cfg : solver settings; defaults to the fixed 1/L step ``alpha = 0.5``.
 
     Starts from the normalized weighted Euclidean average and follows the
     Riemannian gradient. With observations inside an open quarter-sphere
@@ -257,7 +278,10 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     large concentration can still meet; one :func:`_stencil_log_partition`
     call per iteration evaluates the stencils of all entries still running.
     """
+    p = _validate_dim(p)
     d = np.asarray(dispersions, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError("dispersion must be finite")
     if np.any(d <= 1e-12):
         raise ValueError("degenerate sample: concentration unbounded")
     if np.any(d >= MAX_DISPERSION):

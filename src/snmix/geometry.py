@@ -29,15 +29,22 @@ NORM_FLOOR = 1e-8      # vectors shorter than this cannot be normalized
 CUT_LOCUS_TOL = 1e-8   # log map rejected within this of the antipode
 TANGENCY_TOL = 1e-10   # max |<base, vec>| accepted for a tangent vector
 UNIT_ROW_TOL = 1e-6    # max | ||x|| - 1 | accepted for a data row
+_EPS = float(np.finfo(float).eps)
 
 
 def unitize(v, axis: int = -1) -> np.ndarray:
     """Scale vectors to unit length along ``axis``; reject near-zero input."""
     v = np.asarray(v, dtype=float)
-    norms = np.linalg.norm(v, axis=axis, keepdims=True)
-    if np.any(norms < NORM_FLOOR):
+    norms = _norms(v, axis)
+    if norms.size and norms.min() < NORM_FLOOR:
         raise ValueError("cannot normalize a near-zero vector")
     return v / norms
+
+
+def _norms(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Euclidean norms along ``axis``, kept as a length-1 axis: the arithmetic
+    of np.linalg.norm, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=axis, keepdims=True))
 
 
 def _unit_rows(points) -> np.ndarray:
@@ -151,12 +158,16 @@ def batch_project(base, z) -> np.ndarray:
 def batch_exp(base, v) -> np.ndarray:
     """Endpoint of the geodesic from ``base`` with initial velocity ``v``.
 
-    cos(||v||) base + sin(||v||)/||v|| v; np.sinc handles the removable
-    singularity so a zero tangent vector maps back to the base exactly.
+    cos(||v||) base + sin(||v||)/||v|| v. The factor is np.sinc(||v|| / pi)
+    written out, round trip through pi included: a zero norm is replaced by
+    machine epsilon, whose sine over itself is exactly 1, so a zero tangent
+    vector maps back to the base exactly.
     """
     b, vv = _coords(base), np.asarray(v, dtype=float)
-    nv = np.linalg.norm(vv, axis=-1, keepdims=True)
-    return np.cos(nv) * b + np.sinc(nv / np.pi) * vv
+    nv = _norms(vv)
+    x = np.pi * (nv / np.pi)
+    x = np.where(x, x, _EPS)
+    return np.cos(nv) * b + np.sin(x) / x * vv
 
 
 def batch_log(base, y) -> np.ndarray:

@@ -101,12 +101,9 @@ def nmi(a, b) -> float:
     return min(1.0, info / math.sqrt(h_a * h_b))
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
+def _sq_dists(sq_norms: np.ndarray, twice_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """||x_n - c_j||^2 from the loop-invariant (N, 1) row norms ||x_n||^2 and 2 x."""
+    return sq_norms - twice_x @ centers.T + np.sum(centers * centers, axis=1)[None, :]
 
 
 def _lloyd(x: np.ndarray, k: int, seed, restarts: int, max_iter: int, centre) -> np.ndarray:
@@ -121,23 +118,30 @@ def _lloyd(x: np.ndarray, k: int, seed, restarts: int, max_iter: int, centre) ->
     if k < 1 or n < k:
         raise ValueError("need at least K observations")
     rng = np.random.default_rng(seed)
+    sq_norms, twice_x = np.sum(x * x, axis=1)[:, None], 2.0 * x
     best_labels, best_sse = None, math.inf
     for _ in range(restarts):
         centers = x[rng.choice(n, size=k, replace=False)].copy()
         labels = np.full(n, -1)
         for _ in range(max_iter):
-            d2 = _sq_dists(x, centers)
+            d2 = _sq_dists(sq_norms, twice_x, centers)
             new = np.argmin(d2, axis=1)
-            # empty clusters grab the point currently served worst
-            for j in range(k):
-                if not np.any(new == j):
-                    new[int(np.argmax(d2[np.arange(n), new]))] = j
+            counts = np.bincount(new, minlength=k)
+            if not counts.all():
+                # empty clusters grab the point currently served worst
+                for j in range(k):
+                    if not np.any(new == j):
+                        new[int(np.argmax(d2[np.arange(n), new]))] = j
+                counts = np.bincount(new, minlength=k)
             if np.array_equal(new, labels):
                 break
             labels = new
+            # each cluster's members in row order, as a boolean mask would give
+            # them, so every centre sums its rows in the same order
+            members = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
             for j in range(k):
-                centers[j] = centre(x, x[labels == j], centers)
-        sse = float(np.sum(_sq_dists(x, centers)[np.arange(n), labels]))
+                centers[j] = centre(x, x[members[j]], centers)
+        sse = float(np.sum(_sq_dists(sq_norms, twice_x, centers)[np.arange(n), labels]))
         if sse < best_sse:
             best_labels, best_sse = labels, sse
     return best_labels + 1

@@ -9,6 +9,7 @@ import pytest
 from snmix import io as dataio
 from snmix.cli import main
 from snmix.distribution import SNParams, sample
+from snmix.estimation import fit_sn
 from snmix.geometry import geodesic_distance
 from snmix.metrics import rand_index
 
@@ -37,6 +38,18 @@ class TestFit:
         run(["fit", "--input", data, "--method", "halley"])
         halley = json.loads(capsys.readouterr().out)["lambda"]
         assert abs(newton - halley) < 1e-6
+
+    def test_defaults_match_fit_sn(self, tmp_path, capsys):
+        # without --alpha and the other solver flags the command runs fit_sn's
+        # defaults, so it returns the library fit bit for bit
+        pts = sample(SNParams(np.array([0.0, 0.6, 0.8]), 12.0), 150, 3)
+        data = tmp_path / "pts.csv"
+        dataio.save_points(data, pts)
+        assert run(["fit", "--input", data]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        ref = fit_sn(dataio.load_csv(data).points)
+        assert doc["mu"] == list(ref.params.mu.coords) and doc["lambda"] == ref.params.lam
+        assert (doc["iterations_mu"], doc["iterations_lambda"]) == (ref.iterations_mu, ref.iterations_lambda)
 
     def test_normalize_flag(self, tmp_path, capsys):
         data = tmp_path / "raw.csv"

@@ -1,6 +1,7 @@
 """Spherical normal density, partition function, derivatives, and sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,24 @@ class TestLogPartition:
         with pytest.raises(ValueError):
             log_partition(2, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+    def test_public_entries_validate_concentration(self, bad):
+        # the concentration solver's stencil skips these checks; calls from
+        # outside it keep them
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            log_partition(3, bad)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            _log_partition_many(3, [1.0, bad])
+
+    def test_uniform_cutoff_has_no_warning(self):
+        # lam = 0 takes the whole half-turn; the 1/sqrt(0) there raises no
+        # floating-point warning, alone or next to positive concentrations
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _log_partition_many(4, [0.0, 2.0])
+            assert math.isfinite(log_partition(4, 0.0)) and np.all(np.isfinite(values))
+            assert values[0] == log_partition(4, 0.0)
+
 
 class TestLogDensity:
     def test_at_the_mode(self):
@@ -161,6 +180,19 @@ class TestGradLogPartition:
             grad_log_partition(2, 1e-5, order=1)
         with pytest.raises(ValueError):
             grad_log_partition(2, 1.0, order=4)
+
+    def test_stencil_inputs_validated_before_the_nodes(self):
+        # the stencil's log partition calls skip their input checks, so the
+        # dimension and the step are checked here
+        with pytest.raises(ValueError, match="dimension"):
+            grad_log_partition(0, 1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            grad_log_partition(1.5, 1.0)
+        for h in (float("nan"), 0.0, -1e-3):
+            with pytest.raises(ValueError, match="h must be positive"):
+                grad_log_partition(2, 1.0, h=h)
+        with pytest.raises(ValueError, match="shrink h"):
+            grad_log_partition(2, 1.0, h=float("inf"))
 
 
 class TestSampler:

@@ -16,6 +16,7 @@ from snmix.estimation import (
     _dispersions,
     _frechet,
     _frechet_columns,
+    _log_factor,
     concentration_mle,
     concentration_objective,
     fit_sn,
@@ -122,9 +123,10 @@ class TestWeightedFrechetMean:
             values.append(frechet_value(pts, w, mu))
         assert np.all(np.diff(values) <= 0.0)
 
-    def test_descent_under_fixed_step_concentrated(self):
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_descent_under_fixed_step_concentrated(self, alpha):
         # monotone decrease is only promised when the data sit well inside a
-        # quarter-sphere
+        # quarter-sphere; alpha = 0.5 is the 1/L step
         rng = np.random.default_rng(29)
         center = np.zeros(4)
         center[0] = 1.0
@@ -137,7 +139,7 @@ class TestWeightedFrechetMean:
             mean_log = w @ batch_log(mu, pts)
             if 2.0 * np.linalg.norm(mean_log) < 1e-10:
                 break
-            mu = unitize(batch_exp(mu, 0.5 * mean_log))  # alpha = 0.25
+            mu = unitize(batch_exp(mu, 2.0 * alpha * mean_log))
             values.append(frechet_value(pts, w, mu))
         assert np.all(np.diff(values) <= 1e-15)
 
@@ -215,6 +217,15 @@ class TestConcentrationMLE:
     def test_excess_dispersion_rejected(self):
         with pytest.raises(ValueError):
             concentration_mle(MAX_DISPERSION, 3)
+
+    def test_bad_dispersion_or_dimension_rejected(self):
+        # checked once before the solve, whose stencil nodes are not re-validated
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                concentration_mle(bad, 3)
+        for p in (0, 2.0):
+            with pytest.raises(ValueError, match="dimension"):
+                concentration_mle(0.2, p)
 
     def test_simulated_accuracy(self):
         # p=5, lam=10, n=200: relative error stays in the few-percent range
@@ -316,6 +327,47 @@ class TestColumnSolvers:
             mu, it, conv = _frechet(pts, W[:, k], cfg)
             np.testing.assert_allclose(mus[k], mu, rtol=0.0, atol=1e-12)
             assert (iterations[k], converged[k]) == (it, conv)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_frechet_columns_match_single_solves_random_weights(self, seed):
+        # a seeded random (N, K) weight matrix, some rows and a column mostly
+        # empty, over data inside a cap around one pole
+        rng = np.random.default_rng([73, seed])
+        p, k, n = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(5, 80))
+        pole = unitize(rng.standard_normal(p + 1))
+        pts = sample(SNParams(pole, float(rng.uniform(2.0, 40.0))), n, rng)
+        pts = pts[pts @ pole > 0.0]
+        W = rng.uniform(0.0, 1.0, (len(pts), k)) ** rng.uniform(0.5, 4.0, k)
+        W[rng.random(len(pts)) < 0.1] = 0.0
+        W[rng.random(len(pts)) < 0.9, k - 1] = 0.0
+        W[0] = 0.2  # every column keeps some weight
+        W /= W.sum(axis=0)
+        mus, iterations, converged = _frechet_columns(pts, W, FrechetConfig())
+        for j in range(k):
+            mu, it, conv = _frechet(pts, W[:, j], FrechetConfig())
+            np.testing.assert_allclose(mus[j], mu, rtol=0.0, atol=1e-10)
+            assert (iterations[j], converged[j]) == (it, conv)
+
+    def test_log_factor_from_the_cosine(self):
+        # theta / sin(theta) with sin(theta) = sqrt((1 - C)(1 + C)) agrees with
+        # the np.sin form within 4 ulp wherever that form is itself accurate
+        # (C >= -1/2), and with a 50-digit reference over the whole grid: near
+        # C = -1 the np.sin form loses digits, since sin(theta) there is small
+        # and theta carries an absolute rounding error of ulp(pi)
+        import mpmath
+
+        near = np.logspace(-16, -12, 9)
+        C = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 801)[1:], 1.0 - near, -1.0 + near]))
+        theta = np.arccos(C)
+        got = _log_factor(C, theta)
+        assert got[C == 1.0] == 1.0 and np.all(got >= 1.0)
+        mid = C >= -0.5
+        ref = np.divide(theta, np.sin(theta), out=np.ones_like(theta), where=theta > 0.0)
+        assert np.all(np.abs(got - ref)[mid] <= 4.0 * np.spacing(ref[mid]))
+        with mpmath.workdps(50):
+            exact = np.array([1.0 if c == 1.0 else float(mpmath.acos(c) / mpmath.sqrt(1 - mpmath.mpf(c) ** 2))
+                              for c in C])
+        assert np.all(np.abs(got - exact) <= 4.0 * np.spacing(exact))
 
     @pytest.mark.parametrize("method", ["newton", "halley"])
     def test_concentration_columns_match_single_solves(self, method):

@@ -172,3 +172,52 @@ class TestInvariants:
         y = batch_exp(x, v)
         ratio = geodesic_distance(x, y) / np.linalg.norm(x - y, axis=1)
         np.testing.assert_allclose(ratio, 1.0, atol=1e-4)
+
+
+def old_unitize(v, axis=-1):
+    """The np.linalg.norm form that :func:`unitize` writes out."""
+    v = np.asarray(v, dtype=float)
+    norms = np.linalg.norm(v, axis=axis, keepdims=True)
+    if np.any(norms < 1e-8):
+        raise ValueError("cannot normalize a near-zero vector")
+    return v / norms
+
+
+def old_batch_exp(base, v):
+    """The np.linalg.norm / np.sinc form that :func:`batch_exp` writes out."""
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.cos(nv) * base + np.sinc(nv / np.pi) * v
+
+
+class TestKernelsMatchLibraryForms:
+    """unitize and batch_exp write out NumPy's norm and sinc, and stay bit-identical."""
+
+    @pytest.mark.parametrize(
+        "base_shape, v_shape",
+        [((4,), (4,)), ((7, 3), (7, 3)), ((5,), (9, 5)), ((2, 1, 4), (1, 6, 4)), ((0, 3), (0, 3))],
+    )
+    def test_batch_exp_bit_identical(self, base_shape, v_shape):
+        rng = np.random.default_rng(67)
+        base = rng.standard_normal(base_shape)
+        base /= np.linalg.norm(base, axis=-1, keepdims=True)
+        v = rng.standard_normal(v_shape) * rng.uniform(0.0, 4.0, v_shape[:-1] + (1,))
+        if v.size:
+            v.reshape(-1, v_shape[-1])[0] = 0.0  # a zero tangent vector
+            v.reshape(-1, v_shape[-1])[-1] *= 1e-12
+        got = batch_exp(base, v)
+        assert np.array_equal(got, old_batch_exp(base, v))
+        if v.size:
+            first = np.broadcast_to(base, got.shape).reshape(-1, v_shape[-1])[0]
+            assert np.array_equal(got.reshape(-1, v_shape[-1])[0], first)
+
+    @pytest.mark.parametrize("shape, axis", [((5,), -1), ((40, 3), -1), ((40, 3), 0), ((2, 6, 4), 1), ((0, 3), -1)])
+    def test_unitize_bit_identical(self, shape, axis):
+        rng = np.random.default_rng(71)
+        v = rng.standard_normal(shape) * rng.uniform(1e-6, 1e3, shape)
+        assert np.array_equal(unitize(v, axis), old_unitize(v, axis))
+
+    def test_unitize_floor_unchanged(self):
+        v = np.array([[1.0, 0.0], [1e-9, 0.0]])
+        for fn in (unitize, old_unitize):
+            with pytest.raises(ValueError, match="near-zero"):
+                fn(v)
