@@ -122,11 +122,16 @@ def _normalized_weights(n: int, weights) -> np.ndarray:
     total = cols.sum(axis=0)
     if np.any(total <= 0.0):
         raise ValueError("weights must not be all zero")
+    return _scale_columns(cols, total).reshape(w.shape)
+
+
+def _scale_columns(cols: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The columns of an (n, K) matrix divided by their positive sums ``total``, unchecked."""
     out = cols / total
     # canonical uniform columns, so every all-equal input (1/n, ones, ...)
     # reproduces the default path bit for bit
-    out[:, cols.max(axis=0) == cols.min(axis=0)] = 1.0 / n
-    return out.reshape(w.shape)
+    out[:, cols.max(axis=0) == cols.min(axis=0)] = 1.0 / cols.shape[0]
+    return out
 
 
 def _dispersions(points: np.ndarray, W: np.ndarray, mus: np.ndarray) -> np.ndarray:

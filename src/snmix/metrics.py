@@ -117,6 +117,8 @@ def _lloyd(x: np.ndarray, k: int, seed, restarts: int, max_iter: int, centre) ->
     n = x.shape[0]
     if k < 1 or n < k:
         raise ValueError("need at least K observations")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
     rng = np.random.default_rng(seed)
     sq_norms, twice_x = np.sum(x * x, axis=1)[:, None], 2.0 * x
     best_labels, best_sse = None, math.inf

@@ -11,7 +11,7 @@ value (homogeneous).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .estimation import (
     _concentration_columns,
     _dispersions,
     _frechet_columns,
-    _normalized_weights,
+    _scale_columns,
 )
 from .geometry import SpherePoint, _distance_matrix, _unit_rows, unitize
 from .metrics import kmeans
@@ -47,7 +47,6 @@ __all__ = [
 
 _EMPTY_COLUMN_FRACTION = 1e-8   # column mass below this * N counts as an empty cluster
 _DISPERSION_FLOOR = 1e-10       # keeps collapsed clusters finite instead of raising mid-EM
-_SWEEP_EPSILON = 1e-6           # loosest inner-solver tolerance used during the EM sweeps
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,9 @@ class MixtureModel:
         w = np.asarray(self.weights, dtype=float).copy()
         if w.shape != (len(comps),):
             raise ValueError("weights must match the number of components")
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
-            raise ValueError("weights must be non-negative and sum to 1")
+        # a NaN weight passes both the sign and the sum test
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
+            raise ValueError("weights must be finite, non-negative and sum to 1")
         if self.concentration_mode not in ("heterogeneous", "homogeneous"):
             raise ValueError("concentration_mode must be 'heterogeneous' or 'homogeneous'")
         if self.concentration_mode == "homogeneous":
@@ -158,7 +158,10 @@ class EMConfig:
 
 @dataclass(frozen=True)
 class EMReport:
-    """Outcome of one EM run; ``reseeds`` counts empty-cluster recoveries."""
+    """Outcome of one EM run. ``gamma`` is the assignment of the returned model's
+    posterior; ``loglik_trace`` holds the initial log-likelihood and one per M-step
+    (``iterations + 1`` entries), the last being the returned model's unless the
+    closing E-step reseeded it; ``reseeds`` counts empty-cluster recoveries."""
 
     model: MixtureModel
     gamma: np.ndarray
@@ -237,15 +240,24 @@ def m_step(
     """
     x = _unit_rows(data)
     g = np.asarray(gamma, dtype=float)
-    n = x.shape[0]
-    if g.ndim != 2 or g.shape[0] != n:
+    if g.ndim != 2 or g.shape[0] != x.shape[0]:
         raise ValueError("gamma must be an (n, K) matrix with one row per observation")
+    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
+        raise ValueError("gamma must be finite and non-negative")
+    return _m_step(x, g, concentration_mode, frechet_cfg or FrechetConfig(),
+                   conc_cfg or ConcentrationConfig())
+
+
+def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg) -> MixtureModel:
+    """:func:`m_step` on checked unit rows ``x`` and a finite, non-negative (n, K) ``g``;
+    the empty-column test stays as the backstop of :func:`fit_em`'s reseeding."""
+    n = x.shape[0]
     col = g.sum(axis=0)
     if np.any(col <= _EMPTY_COLUMN_FRACTION * n):
         raise ValueError("empty cluster: responsibilities carry no mass for some component")
-    W = _normalized_weights(n, g)
-    mus, _, _ = _frechet_columns(x, W, frechet_cfg or FrechetConfig())
-    return _assemble(x, W, mus, col, concentration_mode, conc_cfg or ConcentrationConfig())
+    W = _scale_columns(g, col)
+    mus = _frechet_columns(x, W, frechet_cfg)[0]
+    return _assemble(x, W, mus, col, concentration_mode, conc_cfg)
 
 
 def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg) -> MixtureModel:
@@ -277,22 +289,17 @@ def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:
     return gamma
 
 
-def _loosened(cfg):
-    """``cfg`` with its tolerance relaxed to at least ``_SWEEP_EPSILON``."""
-    return replace(cfg, epsilon=max(cfg.epsilon, _SWEEP_EPSILON))
-
-
 def _init_from_kmeans(x: np.ndarray, cfg: EMConfig, seed) -> MixtureModel:
     """Initial parameters from Lloyd clustering: the M-step's tail on the one-hot labels, at
     the normalized member means (a cluster's first member where its mean cancels)."""
     labels = kmeans(x, cfg.K, seed=seed)
     onehot = (labels[:, None] == np.arange(1, cfg.K + 1)).astype(float)
-    W = _normalized_weights(x.shape[0], onehot)
+    col = onehot.sum(axis=0)
+    W = _scale_columns(onehot, col)
     centroids = W.T @ x
     flat = np.linalg.norm(centroids, axis=1) < 1e-8
     centroids[flat] = x[np.argmax(onehot[:, flat], axis=0)]
-    return _assemble(x, W, unitize(centroids), onehot.sum(axis=0), cfg.concentration_mode,
-                     _loosened(cfg.concentration))
+    return _assemble(x, W, unitize(centroids), col, cfg.concentration_mode, cfg.concentration)
 
 
 def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):
@@ -331,10 +338,10 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     Initialization comes from ambient k-means (10 restarts) unless an
     ``init_model`` is supplied. Each sweep runs E-step, the configured
     assignment heuristic, then M-step; the loop stops once the membership
-    matrix stalls (see :class:`EMConfig`) or ``max_iter`` sweeps have run.
-    Inner solves run at a slightly loosened tolerance during the sweeps and
-    a final full-precision M-step polishes the returned model, so a K=1 run
-    reproduces :func:`snmix.estimation.fit_sn` exactly.
+    matrix stalls (see :class:`EMConfig`) or ``max_iter`` M-steps have run,
+    and ends on an E-step of the returned model. Every M-step solves at the
+    configured tolerances, so a K=1 run reproduces :func:`snmix.estimation.fit_sn`
+    exactly: its first M-step is ``fit_sn``'s solve and gamma stays all ones.
     """
     x = _unit_rows(data)
     n = x.shape[0]
@@ -346,36 +353,27 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     if model.K != cfg.K or model.p != x.shape[1] - 1:
         raise ValueError("init_model shape does not match the configuration")
 
-    loose_f, loose_c = _loosened(cfg.frechet), _loosened(cfg.concentration)
     posterior, row_loglik = _posterior(x, model)
     trace = [float(np.sum(row_loglik))]
     threshold = cfg.epsilon_gamma * math.sqrt(n * cfg.K)
-    gamma_prev = None
+    gamma = None
     reseeds = 0
-    iterations = 0
-    converged = False
-    for t in range(cfg.max_iter):
+    for t in range(cfg.max_iter + 1):
+        gamma_prev = gamma
         gamma = _apply_assignment(posterior, cfg.assignment, rng)
         model, gamma, n_new = _reseed_empty(x, model, gamma, row_loglik, cfg.assignment, rng)
         reseeds += n_new
-        if gamma_prev is not None and float(np.linalg.norm(gamma - gamma_prev)) < threshold:
-            converged = True
+        converged = gamma_prev is not None and float(np.linalg.norm(gamma - gamma_prev)) < threshold
+        if converged or t == cfg.max_iter:
             break
-        iterations = t + 1
-        model = m_step(x, gamma, cfg.concentration_mode, loose_f, loose_c)
+        model = _m_step(x, gamma, cfg.concentration_mode, cfg.frechet, cfg.concentration)
         posterior, row_loglik = _posterior(x, model)
         trace.append(float(np.sum(row_loglik)))
-        gamma_prev = gamma
-
-    model = m_step(x, gamma, cfg.concentration_mode, cfg.frechet, cfg.concentration)
-    posterior, row_loglik = _posterior(x, model)
-    trace.append(float(np.sum(row_loglik)))
-    gamma = _apply_assignment(posterior, cfg.assignment, rng)
     return EMReport(
         model=model,
         gamma=gamma,
         loglik_trace=tuple(trace),
-        iterations=iterations,
+        iterations=len(trace) - 1,
         converged=converged,
         reseeds=reseeds,
     )

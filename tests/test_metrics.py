@@ -175,3 +175,11 @@ class TestSphericalKMeans:
         np.testing.assert_array_equal(
             spherical_kmeans(x, 3, seed=2), spherical_kmeans(x, 3, seed=2)
         )
+
+
+@pytest.mark.parametrize("cluster", [kmeans, spherical_kmeans], ids=["kmeans", "spherical_kmeans"])
+def test_non_finite_row_rejected(cluster):
+    x = unitize(np.random.default_rng(21).standard_normal((20, 3)))
+    x[3] = np.nan
+    with pytest.raises(ValueError, match="points must be finite"):
+        cluster(x, 2, seed=0)

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,10 +54,9 @@ def separated_sample(rng, dims, lams, counts):
 
 class TestMixtureModel:
     def test_validates_weights(self):
-        with pytest.raises(ValueError):
-            two_component_model(w1=0.7).__class__(
-                two_component_model().components, np.array([0.7, 0.7])
-            )
+        for weights in ([0.7, 0.7], [np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite, non-negative and sum to 1"):
+                MixtureModel(two_component_model().components, np.array(weights))
 
     def test_homogeneous_requires_equal_concentrations(self):
         with pytest.raises(ValueError):
@@ -211,6 +209,14 @@ class TestMStep:
         with pytest.raises(ValueError, match=r"\(n, K\) matrix"):
             m_step(pts, gamma)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
+    def test_gamma_must_be_finite_and_non_negative(self, bad):
+        pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 5.0), 30, 2)
+        gamma = np.full((30, 2), 0.5)
+        gamma[4, 1] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            m_step(pts, gamma)
+
 
 class TestLogLikelihood:
     def test_single_component_matches_density_sum(self):
@@ -236,8 +242,10 @@ class TestFitEM:
         pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 12.0), 150, 3)
         report = fit_em(pts, EMConfig(K=1, seed=0))
         ref = fit_sn(pts)
-        assert np.max(np.abs(report.model.components[0].mu.coords - ref.params.mu.coords)) < 1e-8
-        assert abs(report.model.components[0].lam - ref.params.lam) < 1e-8
+        # bit for bit: the first M-step is fit_sn's solve and gamma stays all ones
+        np.testing.assert_array_equal(report.model.components[0].mu.coords, ref.params.mu.coords)
+        assert report.model.components[0].lam == ref.params.lam
+        assert report.iterations == 1 and report.converged
 
     def test_recovers_separated_clusters(self):
         from snmix.metrics import rand_index
@@ -255,6 +263,14 @@ class TestFitEM:
         report = fit_em(pts, EMConfig(K=2, seed=4))
         assert np.all(np.diff(report.loglik_trace) >= -1e-8)
 
+    def test_soft_trace_non_decreasing_to_max_iter(self):
+        # an overfit K that stops at max_iter; the last entry is the returned model's
+        x, _ = simulate.household_mix(seed=6)
+        report = fit_em(x, EMConfig(K=5, seed=6))
+        assert not report.converged
+        assert np.diff(report.loglik_trace).min() >= -1e-8
+        assert report.loglik_trace[-1] == log_likelihood(x, report.model)
+
     def test_hard_assignment_gamma_one_hot(self):
         rng = np.random.default_rng(23)
         pts, _, _ = separated_sample(rng, 2, (18.0, 9.0), (60, 60))
@@ -266,17 +282,16 @@ class TestFitEM:
         import snmix.mixture as mix
 
         seen = []
-        original = mix.m_step
+        original = mix._m_step
 
-        def recording(data, gamma, *args, **kwargs):
+        def recording(x, gamma, *args, **kwargs):
             seen.append(np.asarray(gamma))
-            return original(data, gamma, *args, **kwargs)
+            return original(x, gamma, *args, **kwargs)
 
-        monkeypatch.setattr(mix, "m_step", recording)
-        rng = np.random.default_rng(51)
-        pts, _, _ = separated_sample(rng, 2, (18.0, 9.0), (60, 60))
-        mix.fit_em(pts, EMConfig(K=2, assignment="hard", seed=4))
-        assert len(seen) >= 2
+        monkeypatch.setattr(mix, "_m_step", recording)
+        pts, _ = simulate.household_mix(seed=1)
+        report = mix.fit_em(pts, EMConfig(K=2, assignment="hard", seed=1))
+        assert len(seen) == report.iterations >= 2
         for gamma in seen:
             assert np.all(np.sum(gamma == 1.0, axis=1) == 1)
             assert np.all((gamma == 0.0) | (gamma == 1.0))
@@ -345,8 +360,8 @@ class TestFitEM:
             calls.clear()
             report = fit_em(pts, cfg)
             assert (report.converged, report.reseeds) == (converged, 0)
-            # the initial pass, one per M-step, and the polish
-            assert len(calls) == report.iterations + 2
+            # the initial pass and one per M-step
+            assert len(calls) == report.iterations + 1
             assert report.loglik_trace[-1] == log_likelihood(pts, report.model)
             np.testing.assert_array_equal(report.gamma, e_step(pts, report.model))
 
@@ -367,8 +382,8 @@ class TestFitEM:
         assert calls == [4]
         calls.clear()
         report = fit_em(pts, EMConfig(K=4, seed=1))
-        # one per sweep and one for the polish
-        assert calls == [4] * (report.iterations + 1)
+        # one per M-step
+        assert calls == [4] * report.iterations
 
     def test_antipodal_data_rejected(self):
         pts = np.repeat([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], 10, axis=0)
@@ -395,7 +410,6 @@ def per_cluster_init(x, cfg, seed):
     Returns (locations, concentrations, weights).
     """
     labels = kmeans(x, cfg.K, seed=seed)
-    conc = replace(cfg.concentration, epsilon=max(cfg.concentration.epsilon, 1e-6))
     mus, dispersions, counts = [], [], []
     for j in range(1, cfg.K + 1):
         members = x[labels == j]
@@ -413,9 +427,9 @@ def per_cluster_init(x, cfg, seed):
     if cfg.concentration_mode == "homogeneous":
         pooled = float(np.sum(dispersions * counts) / len(x))
         pooled = min(max(pooled, 1e-10), MAX_DISPERSION - 1e-9)
-        lams = np.full(cfg.K, concentration_mle(pooled, p, conc))
+        lams = np.full(cfg.K, concentration_mle(pooled, p, cfg.concentration))
     else:
-        lams = np.array([concentration_mle(d, p, conc) for d in dispersions])
+        lams = np.array([concentration_mle(d, p, cfg.concentration) for d in dispersions])
     return np.array(mus), lams, counts / len(x)
 
 
