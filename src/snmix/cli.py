@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--method", choices=["newton", "halley"], default="newton")
     fit.add_argument("--eps", type=float, default=1e-8, help="stopping tolerance")
-    fit.add_argument("--h-scale", type=float, default=1e-4, help="finite-difference step scale")
     fit.add_argument("--max-iter", type=int, default=500)
     fit.set_defaults(func=_cmd_fit)
 
@@ -114,7 +113,7 @@ def _cmd_fit(args) -> int:
         epsilon=args.eps,
         max_iter=args.max_iter,
     )
-    conc_cfg = ConcentrationConfig(method=args.method, h_scale=args.h_scale, epsilon=args.eps)
+    conc_cfg = ConcentrationConfig(method=args.method, epsilon=args.eps)
     t0 = time.perf_counter()
     result = fit_sn(dataset.points, frechet_cfg=frechet_cfg, conc_cfg=conc_cfg)
     elapsed = time.perf_counter() - t0

@@ -3,8 +3,9 @@
 Density proportional to exp(-lam/2 * d^2(x, mu)) where d is the geodesic
 distance. By isotropy the normalizing constant reduces to a 1-D radial
 integral, evaluated here with fixed-order Gauss-Legendre quadrature in log
-space. Sampling inverts a tabulated radial CDF and attaches an independent
-uniform direction in the tangent space at mu.
+space; its derivatives in the concentration are moments of the squared
+radius, taken on the same nodes. Sampling inverts a tabulated radial CDF
+and attaches an independent uniform direction in the tangent space at mu.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ __all__ = [
 LAMBDA_MAX = 1e8
 DEFAULT_QUAD_ORDER = 128
 CDF_CELLS = 4096
-# centred finite-difference offsets in units of the step h: the first three
-# form the three-point stencil, all five the five-point one
-_STENCIL_OFFSETS = np.array([0.0, -1.0, 1.0, -2.0, 2.0])
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,7 @@ def _log_partition_many(p: int, lams, order: int = DEFAULT_QUAD_ORDER) -> np.nda
     """:func:`log_partition` at every entry of the 1-D array ``lams``.
 
     Each concentration gets its own row of quadrature nodes on [0, cutoff],
-    so one call evaluates a whole finite-difference stencil or all K
-    components of a mixture.
+    so one call evaluates all K components of a mixture.
     """
     p = _validate_dim(p)
     lams = np.asarray(lams, dtype=float)
@@ -133,24 +130,40 @@ def _log_partition_many(p: int, lams, order: int = DEFAULT_QUAD_ORDER) -> np.nda
 def _log_partition_nodes(p: int, lams: np.ndarray, order: int) -> np.ndarray:
     """:func:`_log_partition_many` without its input checks, for callers whose
     ``p`` is a valid dimension and whose ``lams`` are finite, non-negative floats."""
+    _, mass, peak = _radial_nodes(p, lams, order)
+    return _log_sphere_area(p) + peak + np.log(mass.sum(axis=1))
+
+
+def _radial_nodes(p: int, lams: np.ndarray, order: int):
+    """Quadrature of the radial integrand, one row of nodes per entry of ``lams``.
+
+    Returns (r, mass, peak): the nodes on [0, cutoff], their weights times the
+    integrand scaled by exp(-peak), and each row's largest log-integrand
+    ``peak``, so a row's largest term is its weight times exp(0) = 1.
+    """
     x, w = _leggauss_base(int(order))
     upper = _radial_cutoff(p, lams)[:, None]
-    log_f = _log_radial(p, lams[:, None], 0.5 * upper * (x + 1.0))
+    r = 0.5 * upper * (x + 1.0)
+    log_f = _log_radial(p, lams[:, None], r)
     peak = log_f.max(axis=1)
-    total = (0.5 * upper * w * np.exp(log_f - peak[:, None])).sum(axis=1)
-    return _log_sphere_area(p) + peak + np.log(total)
+    return r, 0.5 * upper * w * np.exp(log_f - peak[:, None]), peak
 
 
-def _stencil_log_partition(p: int, lam, h, width: int, order: int = DEFAULT_QUAD_ORDER):
-    """Nodes lam + offsets * h of the centred ``width``-point stencil, one row per
-    entry of ``lam`` (scalar or 1-D, like ``h``), and log_partition at all of them.
+def _radial_moments(p: int, lams: np.ndarray, order: int = DEFAULT_QUAD_ORDER):
+    """Mean, variance and third central moment of r^2 under the radial law at every
+    entry of ``lams``, from one pass over the nodes of :func:`_log_partition_nodes`.
 
-    The caller validates ``p`` and keeps every node finite and positive
-    (finite lam, 0 < h, lam - (width // 2) * h > 0), so the nodes are not
-    checked again.
+    These are the exact derivatives of lam -> log_partition: the first is
+    -mean / 2, the second variance / 4 and the third -moment_3 / 8. Inputs are
+    not checked again (see :func:`_log_partition_nodes`).
     """
-    nodes = np.asarray(lam)[..., None] + _STENCIL_OFFSETS[:width] * np.asarray(h)[..., None]
-    return nodes, _log_partition_nodes(p, nodes.ravel(), order).reshape(nodes.shape)
+    r, mass, _ = _radial_nodes(p, lams, order)
+    total = mass.sum(axis=1)
+    r2 = r * r
+    mean = (mass * r2).sum(axis=1) / total
+    dev = r2 - mean[:, None]
+    sq = mass * dev * dev
+    return mean, sq.sum(axis=1) / total, (sq * dev).sum(axis=1) / total
 
 
 def log_density(x, params: SNParams, order: int = DEFAULT_QUAD_ORDER):
@@ -160,39 +173,24 @@ def log_density(x, params: SNParams, order: int = DEFAULT_QUAD_ORDER):
 
 
 def grad_log_partition(
-    p: int,
-    lam: float,
-    order: int = 1,
-    h: float | None = None,
-    quad_order: int = DEFAULT_QUAD_ORDER,
+    p: int, lam: float, order: int = 1, quad_order: int = DEFAULT_QUAD_ORDER
 ) -> float:
-    """Centered finite-difference derivative of lam -> log_partition(p, lam).
+    """Exact derivative of lam -> log_partition(p, lam) of the given ``order``.
 
-    ``order`` selects the first, second, or third derivative. Orders 1 and 2
-    use the three-point stencil lam, lam +- h and order 3 the five-point
-    stencil that adds lam +- 2h, all with O(h^2) truncation error. The
-    default step is h = 1e-4 * max(1, lam), which balances truncation
-    against cancellation across the useful range of lam.
+    Under the radial law the derivatives are moments of r^2, the squared
+    distance from the location: -E[r^2] / 2, Var[r^2] / 4 and
+    -E[(r^2 - E[r^2])^3] / 8 for orders 1, 2 and 3, all taken on the
+    quadrature nodes of :func:`log_partition`. At lam = 0 this is the right
+    derivative.
     """
     p = _validate_dim(p)
     lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError("lam must be finite")
+    if not math.isfinite(lam) or lam < 0.0:
+        raise ValueError("concentration must be finite and non-negative")
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2, or 3")
-    if h is None:
-        h = 1e-4 * max(1.0, lam)
-    h = float(h)
-    if not h > 0.0:
-        raise ValueError("h must be positive")
-    if lam - 2.0 * h <= 0.0:
-        raise ValueError("stencil crosses zero: shrink h")
-    _, f = _stencil_log_partition(p, lam, h, 3 if order < 3 else 5, quad_order)
-    if order == 1:
-        return float((f[2] - f[1]) / (2.0 * h))
-    if order == 2:
-        return float((f[2] - 2.0 * f[0] + f[1]) / (h * h))
-    return float((f[4] - 2 * f[2] + 2 * f[1] - f[3]) / (2.0 * h**3))
+    moment = _radial_moments(p, np.array([lam]), quad_order)[order - 1][0]
+    return float((-0.5, 0.25, -0.125)[order - 1] * moment)
 
 
 @lru_cache(maxsize=64)

@@ -3,8 +3,14 @@
 Location and concentration decouple: the location MLE is the (weighted)
 Frechet mean, solved by Riemannian gradient descent; given the fitted
 location, the concentration MLE is the root of the derivative of a strictly
-convex 1-D objective, solved by Newton (three-point) or Halley (five-point)
-finite-difference updates on the log partition function.
+convex 1-D objective, solved by Newton or Halley updates whose derivatives
+are exact moments of the squared radius on the log partition function's
+quadrature nodes.
+
+The solvers run every component of a mixture at once: a per-component
+weight matrix is stored component-major, as a (K, n) array with one row of
+point weights per component, so every reduction over the points runs along
+a contiguous row.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .distribution import (
     LAMBDA_MAX,
     SNParams,
-    _stencil_log_partition,
+    _radial_moments,
     _validate_dim,
     log_partition,
 )
@@ -77,18 +83,23 @@ class FrechetConfig:
 
 @dataclass(frozen=True)
 class ConcentrationConfig:
-    """Settings for the concentration solver (finite-difference root-finding)."""
+    """Settings for the concentration solver.
+
+    ``method`` is "newton" (first and second derivative) or "halley" (first
+    to third); the derivatives are exact quadrature moments, so there is no
+    step size to set. Iterations stop once the update falls below
+    ``epsilon * max(1, lam)``.
+    """
 
     method: str = "newton"
-    h_scale: float = 1e-4
     epsilon: float = 1e-8
     max_iter: int = 100
 
     def __post_init__(self) -> None:
         if self.method not in ("newton", "halley"):
             raise ValueError("method must be 'newton' or 'halley'")
-        if self.h_scale <= 0.0 or self.epsilon <= 0.0 or self.max_iter < 1:
-            raise ValueError("h_scale, epsilon and max_iter must be positive")
+        if self.epsilon <= 0.0 or self.max_iter < 1:
+            raise ValueError("epsilon and max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,33 +121,33 @@ class MLEResult:
 
 
 def _normalized_weights(n: int, weights) -> np.ndarray:
-    """Weights scaled to sum to one: a 1-D vector, or each column of an (n, K) matrix."""
+    """1-D weights scaled to sum to one; ``None`` means uniform."""
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[0] != n:
+    if w.ndim != 1 or w.shape[0] != n:
         raise ValueError("weights must be a 1-D array matching the number of points")
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ValueError("weights must be finite and non-negative")
-    cols = w.reshape(n, -1)
-    total = cols.sum(axis=0)
-    if np.any(total <= 0.0):
+    row = w[None]
+    total = row.sum(axis=1)
+    if total[0] <= 0.0:
         raise ValueError("weights must not be all zero")
-    return _scale_columns(cols, total).reshape(w.shape)
+    return _scale_columns(row, total)[0]
 
 
-def _scale_columns(cols: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """The columns of an (n, K) matrix divided by their positive sums ``total``, unchecked."""
-    out = cols / total
-    # canonical uniform columns, so every all-equal input (1/n, ones, ...)
+def _scale_columns(W: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Each component row of a (K, n) matrix divided by its positive sum ``total``, unchecked."""
+    out = W / total[:, None]
+    # canonical uniform rows, so every all-equal input (1/n, ones, ...)
     # reproduces the default path bit for bit
-    out[:, cols.max(axis=0) == cols.min(axis=0)] = 1.0 / cols.shape[0]
+    out[W.max(axis=1) == W.min(axis=1)] = 1.0 / W.shape[1]
     return out
 
 
 def _dispersions(points: np.ndarray, W: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """Weighted dispersion 1/2 sum_n W[n, k] d^2(x_n, mus[k]) for every column k."""
-    return 0.5 * (W * np.square(_distance_matrix(points, mus))).sum(axis=0)
+    """Weighted dispersion 1/2 sum_n W[k, n] d^2(x_n, mus[k]) for every component row k."""
+    return 0.5 * (W * np.square(_distance_matrix(mus, points))).sum(axis=1)
 
 
 def _armijo_columns(points, W, mus, mean_log, grad_norm):
@@ -161,7 +172,7 @@ def _armijo_columns(points, W, mus, mean_log, grad_norm):
             if ok.all():
                 break
             keep = ~ok
-            todo, W, mus, mean_log = todo[keep], W[:, keep], mus[keep], mean_log[keep]
+            todo, W, mus, mean_log = todo[keep], W[keep], mus[keep], mean_log[keep]
             f0, grad_norm = f0[keep], grad_norm[keep]
         alpha *= 0.5
     return new, found
@@ -179,28 +190,28 @@ def _log_factor(C: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
-    """Weighted Frechet means of all K columns of ``W`` at once.
+    """Weighted Frechet means of all K rows of the (K, n) weights ``W`` at once.
 
-    Returns (mus (K, p+1), iterations (K,), converged (K,)). Every column
+    Returns (mus (K, p+1), iterations (K,), converged (K,)). Every component
     runs the single-mean gradient iteration with its own stop tests and
-    iteration count, and is frozen once it stops. With C = x @ mus.T and
+    iteration count, and is frozen once it stops. With C = mus @ x.T and
     theta = arccos C, the weighted mean of the log maps
-    sum_n W_nk theta_nk / sin(theta_nk) (x_n - C_nk mu_k) is
-    F.T @ x - (sum_n F_nk C_nk) mu_k with F = W theta / sin(theta).
+    sum_n W_kn theta_kn / sin(theta_kn) (x_n - C_kn mu_k) is
+    F @ x - (sum_n F_kn C_kn) mu_k with F = W theta / sin(theta).
     """
-    m0 = W.T @ points
+    m0 = W @ points
     norm0 = np.linalg.norm(m0, axis=1)
     if np.any(norm0 < 1e-8):
         raise ValueError("ill-posed initialization: weighted extrinsic mean is numerically zero")
-    k = W.shape[1]
+    k = W.shape[0]
     mus = m0 / norm0[:, None]
     iterations = np.full(k, cfg.max_iter)
     converged = np.zeros(k, dtype=bool)
-    # columns still iterating, with their locations and weights; a column
-    # is indexed out only when it stops, so a K=1 solve never re-indexes
+    # components still iterating, with their locations and weight rows; a
+    # component is indexed out only when it stops, so a K=1 solve never re-indexes
     active, mu, Wa = np.arange(k), mus.copy(), W
     for t in range(1, cfg.max_iter + 1):
-        C = points @ mu.T
+        C = mu @ points.T
         np.clip(C, -1.0, 1.0, out=C)
         theta = np.arccos(C)
         if theta.max() > np.pi - CUT_LOCUS_TOL:
@@ -208,8 +219,8 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
                 "points include the antipode of a location estimate; the Frechet mean is undefined"
             )
         F = Wa * _log_factor(C, theta)
-        # sum_n F_nk C_nk mu_k = (G_k . mu_k) mu_k, so only G needs the N rows
-        G = F.T @ points
+        # sum_n F_kn C_kn mu_k = (G_k . mu_k) mu_k, so only G needs the n points
+        G = F @ points
         mean_log = G - (G * mu).sum(axis=1)[:, None] * mu
         grad_norm = 2.0 * np.sqrt((mean_log * mean_log).sum(axis=1))  # grad = -2 sum w Log(x)
         stop = grad_norm < cfg.epsilon
@@ -217,7 +228,7 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
             done = active[stop]
             iterations[done], converged[done], mus[done] = t, True, mu[stop]
             keep = ~stop
-            active, mu, Wa = active[keep], mu[keep], Wa[:, keep]
+            active, mu, Wa = active[keep], mu[keep], Wa[keep]
             mean_log, grad_norm = mean_log[keep], grad_norm[keep]
             if active.size == 0:
                 break
@@ -225,14 +236,14 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
             new, found = unitize(batch_exp(mu, 2.0 * cfg.alpha * mean_log)), True
         else:
             new, found = _armijo_columns(points, Wa, mu, mean_log, grad_norm)
-        # a column whose line search gave up keeps its mu, so it stops as unmoved
+        # a component whose line search gave up keeps its mu, so it stops as unmoved
         stop = np.square(new - mu).sum(axis=1) < cfg.epsilon**2
         mu = new
         if stop.any():
             done = active[stop]
             iterations[done], converged[done], mus[done] = t, (stop & found)[stop], mu[stop]
             keep = ~stop
-            active, mu, Wa = active[keep], mu[keep], Wa[:, keep]
+            active, mu, Wa = active[keep], mu[keep], Wa[keep]
             if active.size == 0:
                 break
     mus[active] = mu
@@ -240,8 +251,9 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
 
 
 def _frechet(points: np.ndarray, w: np.ndarray, cfg: FrechetConfig):
-    """Single weighted Frechet mean; returns (mu, iterations, converged)."""
-    mus, iterations, converged = _frechet_columns(points, w[:, None], cfg)
+    """Single weighted Frechet mean for the 1-D weights ``w``, solved as a (1, n) row;
+    returns (mu, iterations, converged)."""
+    mus, iterations, converged = _frechet_columns(points, w[None], cfg)
     return mus[0], int(iterations[0]), bool(converged[0])
 
 
@@ -278,10 +290,11 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     """Concentration roots for a 1-D array of dispersions at once.
 
     Returns (lams, iterations, converged), each of the input's length. Every
-    entry runs its own Newton or Halley iteration and stops on its own test
-    |step| < epsilon * max(1, lam), which the finite-difference noise of a
-    large concentration can still meet; one :func:`_stencil_log_partition`
-    call per iteration evaluates the stencils of all entries still running.
+    entry runs its own Newton or Halley iteration on the first three
+    derivatives of the objective g(lam) = d lam + log_partition(p, lam),
+    d - E[r^2]/2, Var[r^2]/4 and -E[(r^2 - E[r^2])^3]/8, and stops on its own
+    test |step| < epsilon * max(1, lam). One :func:`_radial_moments` call per
+    iteration gives the moments of all entries still running.
     """
     p = _validate_dim(p)
     d = np.asarray(dispersions, dtype=float)
@@ -292,29 +305,25 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     if np.any(d >= MAX_DISPERSION):
         raise ValueError(f"dispersion must be below pi^2/2 = {MAX_DISPERSION:.6f}")
     halley = cfg.method == "halley"
-    width = 5 if halley else 3
     # Moment-matched start: E[d^2] ~ p / lam for concentrated data.
     lams = np.minimum(p / (2.0 * d), 0.5 * LAMBDA_MAX)
     iterations = np.full(d.shape, cfg.max_iter)
     converged = np.zeros(d.shape, dtype=bool)
     # entries still iterating, with their concentrations and dispersions
-    active, lam, da = np.arange(d.size), lams.copy(), d[:, None]
+    active, lam, da = np.arange(d.size), lams.copy(), d
     for t in range(1, cfg.max_iter + 1):
-        h = np.minimum(cfg.h_scale * np.maximum(1.0, lam), 0.25 * lam)
-        stencil, log_z = _stencil_log_partition(p, lam, h, width)
-        g = da * stencil + log_z
-        g_0, g_minus, g_plus = g[:, 0], g[:, 1], g[:, 2]
-        a = g_plus - g_minus
-        b = g_plus - 2.0 * g_0 + g_minus
-        usable = np.isfinite(a) & np.isfinite(b) & (b > 0.0)
+        mean, var, moment_3 = _radial_moments(p, lam)
+        g1 = da - 0.5 * mean
+        g2 = 0.25 * var
+        usable = g2 > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = lam - 0.5 * h * (a / b)
+            new = lam - g1 / g2
             if halley:
-                c = g[:, 4] - 2.0 * g_plus + 2.0 * g_minus - g[:, 3]
-                denom = 8.0 * b * b - a * c
-                new = np.where(np.isfinite(denom) & (denom > 0.0), lam - 4.0 * h * (a * b / denom), new)
+                # Halley denominator 2 g2^2 - g1 g3, with g3 = -moment_3 / 8
+                denom = 2.0 * g2 * g2 + 0.125 * g1 * moment_3
+                new = np.where(denom > 0.0, lam - 2.0 * g1 * g2 / denom, new)
         if not usable.all():
-            new = np.where(usable, new, np.where(a < 0.0, 2.0 * lam, 0.5 * lam))
+            new = np.where(usable, new, np.where(g1 < 0.0, 2.0 * lam, 0.5 * lam))
         new = np.where(new <= 0.0, 0.5 * lam, new)
         new = np.where(new > LAMBDA_MAX, 0.5 * (lam + LAMBDA_MAX), new)
         stop = np.abs(new - lam) < cfg.epsilon * np.maximum(1.0, lam)
@@ -340,7 +349,7 @@ def concentration_mle(dispersion: float, p: int, cfg: ConcentrationConfig | None
     """Concentration whose model dispersion matches the observed one.
 
     Solves for the unique stationary point of the profiled objective via
-    Newton (default, three-point) or Halley (five-point) finite differences.
+    Newton (default) or Halley updates on exact derivatives.
     Raises for a degenerate sample (dispersion ~ 0, concentration diverges)
     and for dispersion at or beyond pi^2/2.
     """
@@ -366,7 +375,7 @@ def fit_sn(
     frechet_cfg = frechet_cfg or FrechetConfig()
     conc_cfg = conc_cfg or ConcentrationConfig()
     mu, it_mu, conv_mu = _frechet(x, w, frechet_cfg)
-    dispersion = float(_dispersions(x, w[:, None], mu[None])[0])
+    dispersion = float(_dispersions(x, w[None], mu[None])[0])
     # d(x, mu) < pi/2 exactly when <x, mu> > 0
     support_ok = bool(np.all(x @ mu > 0.0))
     lam, it_lam, conv_lam = _concentration(dispersion, x.shape[1] - 1, conc_cfg)

@@ -109,18 +109,16 @@ def _sq_dists(sq_norms: np.ndarray, twice_x: np.ndarray, centers: np.ndarray) ->
 def _lloyd(x: np.ndarray, k: int, seed, restarts: int, max_iter: int, centre) -> np.ndarray:
     """Best of ``restarts`` Lloyd runs by within-cluster squared error; 1-based labels.
 
-    ``centre(x, members, centers)`` gives a cluster's new centre from its
-    member rows; ``centers`` holds the current centres, updated in order.
+    ``x`` is a finite (N, d) array. ``centre(x, means, centers)`` gives the
+    new (k, d) centres from the member means; ``centers`` holds the current ones.
     """
-    if x.ndim != 2:
-        raise ValueError("points must form an (N, d) array")
     n = x.shape[0]
     if k < 1 or n < k:
         raise ValueError("need at least K observations")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("points must be finite")
     rng = np.random.default_rng(seed)
     sq_norms, twice_x = np.sum(x * x, axis=1)[:, None], 2.0 * x
+    # one contiguous row per coordinate, so each centre coordinate is one bincount
+    coords = np.ascontiguousarray(x.T)
     best_labels, best_sse = None, math.inf
     for _ in range(restarts):
         centers = x[rng.choice(n, size=k, replace=False)].copy()
@@ -138,24 +136,45 @@ def _lloyd(x: np.ndarray, k: int, seed, restarts: int, max_iter: int, centre) ->
             if np.array_equal(new, labels):
                 break
             labels = new
-            # each cluster's members in row order, as a boolean mask would give
-            # them, so every centre sums its rows in the same order
-            members = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
-            for j in range(k):
-                centers[j] = centre(x, x[members[j]], centers)
+            centers = centre(x, _member_means(coords, labels, counts), centers)
         sse = float(np.sum(_sq_dists(sq_norms, twice_x, centers)[np.arange(n), labels]))
         if sse < best_sse:
             best_labels, best_sse = labels, sse
     return best_labels + 1
 
 
-def _unit_mean_centre(x, members, centers) -> np.ndarray:
-    # a mean that cancels to zero is reseeded at the worst-represented point
-    mean = members.mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm < 1e-8:
-        return x[int(np.argmin((x @ centers.T).max(axis=1)))]
-    return mean / norm
+def _member_means(coords: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(k, d) mean of each cluster's rows, from the (d, N) coordinate rows ``coords``,
+    the 0-based ``labels`` and the non-zero cluster sizes ``counts``.
+
+    One bincount per coordinate adds each cluster's members in row order, as
+    the mean of the member rows does, so the two agree bit for bit.
+    """
+    k = counts.size
+    sums = np.stack([np.bincount(labels, weights=c, minlength=k) for c in coords], axis=1)
+    return sums / counts[:, None]
+
+
+def _points(points) -> np.ndarray:
+    """An (N, d) float array of finite rows, checked before any arithmetic on it."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("points must form an (N, d) array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
+    return x
+
+
+def _unit_mean_centre(x, means, centers) -> np.ndarray:
+    # centres are updated in order; a mean that cancels to zero is reseeded at
+    # the point worst represented by the centres so far
+    for j, mean in enumerate(means):
+        norm = np.linalg.norm(mean)
+        if norm < 1e-8:
+            centers[j] = x[int(np.argmin((x @ centers.T).max(axis=1)))]
+        else:
+            centers[j] = mean / norm
+    return centers
 
 
 def kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int = 100) -> np.ndarray:
@@ -164,8 +183,7 @@ def kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int = 100) -> n
     Deterministic for a given seed: the best of ``restarts`` runs by
     within-cluster squared error is returned.
     """
-    x = np.asarray(points, dtype=float)
-    return _lloyd(x, K, seed, restarts, max_iter, lambda _x, members, _centers: members.mean(axis=0))
+    return _lloyd(_points(points), K, seed, restarts, max_iter, lambda _x, means, _centers: means)
 
 
 def spherical_kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int = 100) -> np.ndarray:
@@ -177,5 +195,4 @@ def spherical_kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int =
     centroid is the most parallel one, so this is Lloyd's loop with a
     normalized centre update.
     """
-    x = unitize(np.asarray(points, dtype=float))
-    return _lloyd(x, K, seed, restarts, max_iter, _unit_mean_centre)
+    return _lloyd(unitize(_points(points)), K, seed, restarts, max_iter, _unit_mean_centre)

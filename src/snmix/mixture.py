@@ -6,6 +6,10 @@ or be resampled from the row distribution each sweep. The M-step runs the
 single-component estimators on all K responsibility columns at once, with
 either free per-component concentrations (heterogeneous) or one shared
 value (homogeneous).
+
+Internally every membership matrix is component-major, a (K, N) array with
+one row per component, so the per-component and per-point reductions run
+along contiguous rows; the public functions take and return (N, K).
 """
 
 from __future__ import annotations
@@ -172,49 +176,58 @@ class EMReport:
 
 
 def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
-    """(N, K) matrix of log pi_k + log f_k(x_n)."""
+    """(K, N) matrix of log pi_k + log f_k(x_n)."""
     mus = model.locations()
     lams = model.concentrations()
-    d2 = np.square(_distance_matrix(data, mus))
+    d2 = np.square(_distance_matrix(mus, data))
     log_z = _log_partition_many(model.p, lams)
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.weights)
-    return log_pi[None, :] - 0.5 * lams[None, :] * d2 - log_z[None, :]
+    return log_pi[:, None] - 0.5 * lams[:, None] * d2 - log_z[:, None]
 
 
 def _posterior(x: np.ndarray, model: MixtureModel):
-    """(gamma, row_loglik) from one pass: responsibilities and log sum_k pi_k f_k(x_n)."""
+    """(gamma, row_loglik) from one pass: the (K, N) responsibilities and, per point,
+    log sum_k pi_k f_k(x_n)."""
     if x.shape[1] != model.p + 1:
         raise ValueError("points and model must live on the same sphere")
     log_joint = _log_joint(x, model)
-    peak = log_joint.max(axis=1, keepdims=True)
-    joint = np.exp(log_joint - peak)  # each row's largest term is exp(0) = 1
-    total = joint.sum(axis=1, keepdims=True)
-    return joint / total, (peak + np.log(total))[:, 0]
+    peak = log_joint.max(axis=0)
+    joint = np.exp(log_joint - peak)  # each point's largest term is exp(0) = 1
+    total = joint.sum(axis=0)
+    return joint / total, peak + np.log(total)
 
 
 def e_step(data, model: MixtureModel) -> np.ndarray:
     """Posterior responsibilities gamma_nk, row-normalized in log space."""
-    return _posterior(_unit_rows(data), model)[0]
+    return np.ascontiguousarray(_posterior(_unit_rows(data), model)[0].T)
 
 
 def harden(gamma) -> np.ndarray:
     """One-hot rows at the row argmax; ties go to the smallest index."""
-    g = np.asarray(gamma, dtype=float)
-    out = np.zeros_like(g)
-    out[np.arange(g.shape[0]), np.argmax(g, axis=1)] = 1.0
-    return out
+    return np.ascontiguousarray(_harden(np.asarray(gamma, dtype=float).T).T)
 
 
 def stochasticize(gamma, rng) -> np.ndarray:
     """One-hot rows drawn from each row's categorical distribution."""
-    g = np.asarray(gamma, dtype=float)
-    rng = np.random.default_rng(rng)
-    cum = np.cumsum(g, axis=1)
-    cum /= cum[:, -1:]
-    idx = np.sum(rng.random((g.shape[0], 1)) >= cum, axis=1)
+    return np.ascontiguousarray(_stochasticize(np.asarray(gamma, dtype=float).T, rng).T)
+
+
+def _harden(g: np.ndarray) -> np.ndarray:
+    """:func:`harden` on a (K, N) membership matrix."""
     out = np.zeros_like(g)
-    out[np.arange(g.shape[0]), np.clip(idx, 0, g.shape[1] - 1)] = 1.0
+    out[np.argmax(g, axis=0), np.arange(g.shape[1])] = 1.0
+    return out
+
+
+def _stochasticize(g: np.ndarray, rng) -> np.ndarray:
+    """:func:`stochasticize` on a (K, N) membership matrix, with the same draws."""
+    rng = np.random.default_rng(rng)
+    cum = np.cumsum(g, axis=0)
+    cum /= cum[-1:]
+    idx = np.sum(rng.random((1, g.shape[1])) >= cum, axis=0)
+    out = np.zeros_like(g)
+    out[np.clip(idx, 0, g.shape[0] - 1), np.arange(g.shape[1])] = 1.0
     return out
 
 
@@ -244,15 +257,15 @@ def m_step(
         raise ValueError("gamma must be an (n, K) matrix with one row per observation")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gamma must be finite and non-negative")
-    return _m_step(x, g, concentration_mode, frechet_cfg or FrechetConfig(),
-                   conc_cfg or ConcentrationConfig())
+    return _m_step(x, np.ascontiguousarray(g.T), concentration_mode,
+                   frechet_cfg or FrechetConfig(), conc_cfg or ConcentrationConfig())
 
 
 def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg) -> MixtureModel:
-    """:func:`m_step` on checked unit rows ``x`` and a finite, non-negative (n, K) ``g``;
-    the empty-column test stays as the backstop of :func:`fit_em`'s reseeding."""
+    """:func:`m_step` on checked unit rows ``x`` and a finite, non-negative (K, n) ``g``;
+    the empty-cluster test stays as the backstop of :func:`fit_em`'s reseeding."""
     n = x.shape[0]
-    col = g.sum(axis=0)
+    col = g.sum(axis=1)
     if np.any(col <= _EMPTY_COLUMN_FRACTION * n):
         raise ValueError("empty cluster: responsibilities carry no mass for some component")
     W = _scale_columns(g, col)
@@ -261,7 +274,8 @@ def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg) -> MixtureMode
 
 
 def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg) -> MixtureModel:
-    """Mixture on the rows ``x`` from (K, p+1) locations and column-normalized memberships ``W``.
+    """Mixture on the rows ``x`` from (K, p+1) locations and (K, n) memberships ``W``
+    whose rows sum to one.
 
     Weights are ``col / n``; concentrations come from each clipped dispersion (half the
     ``W``-weighted mean squared distance), or from their ``col``-weighted pool in
@@ -283,9 +297,9 @@ def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg) -> MixtureModel
 
 def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:
     if assignment == "hard":
-        return harden(gamma)
+        return _harden(gamma)
     if assignment == "stochastic":
-        return stochasticize(gamma, rng)
+        return _stochasticize(gamma, rng)
     return gamma
 
 
@@ -293,17 +307,17 @@ def _init_from_kmeans(x: np.ndarray, cfg: EMConfig, seed) -> MixtureModel:
     """Initial parameters from Lloyd clustering: the M-step's tail on the one-hot labels, at
     the normalized member means (a cluster's first member where its mean cancels)."""
     labels = kmeans(x, cfg.K, seed=seed)
-    onehot = (labels[:, None] == np.arange(1, cfg.K + 1)).astype(float)
-    col = onehot.sum(axis=0)
+    onehot = (np.arange(1, cfg.K + 1)[:, None] == labels).astype(float)
+    col = onehot.sum(axis=1)
     W = _scale_columns(onehot, col)
-    centroids = W.T @ x
+    centroids = W @ x
     flat = np.linalg.norm(centroids, axis=1) < 1e-8
-    centroids[flat] = x[np.argmax(onehot[:, flat], axis=0)]
+    centroids[flat] = x[np.argmax(onehot[flat], axis=1)]
     return _assemble(x, W, unitize(centroids), col, cfg.concentration_mode, cfg.concentration)
 
 
 def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):
-    """Replace components whose responsibility column lost all mass.
+    """Replace components whose (K, N) responsibility row lost all mass.
 
     Each dead component is moved onto the observation the current mixture
     explains worst (lowest ``row_loglik``), its concentration reset to the
@@ -313,7 +327,7 @@ def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):
     n = x.shape[0]
     reseeds = 0
     for _ in range(model.K):
-        col = gamma.sum(axis=0)
+        col = gamma.sum(axis=1)
         dead = np.flatnonzero(col <= _EMPTY_COLUMN_FRACTION * n)
         if dead.size == 0:
             break
@@ -371,7 +385,7 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
         trace.append(float(np.sum(row_loglik)))
     return EMReport(
         model=model,
-        gamma=gamma,
+        gamma=np.ascontiguousarray(gamma.T),
         loglik_trace=tuple(trace),
         iterations=len(trace) - 1,
         converged=converged,

@@ -160,7 +160,7 @@ def estimation_benchmark(
                     if do_lam:
                         if mu_hat is None:
                             mu_hat, _, _ = _frechet(x, w, FrechetConfig(epsilon=eps))
-                        dispersion = float(_dispersions(x, w[:, None], mu_hat[None])[0])
+                        dispersion = float(_dispersions(x, w[None], mu_hat[None])[0])
                         for method in ("newton", "halley"):
                             cfg = ConcentrationConfig(method=method, epsilon=eps)
                             t0 = time.perf_counter()

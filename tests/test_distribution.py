@@ -36,19 +36,33 @@ def sphere_hypervolume(p: int) -> float:
     return 2.0 * math.pi ** ((p + 1) / 2.0) / math.exp(gammaln((p + 1) / 2.0))
 
 
-def scalar_call_grad_log_partition(p: int, lam: float, order: int) -> float:
-    """Reference: the stencil of ``grad_log_partition`` built from one scalar
-    ``log_partition`` call per node, at the default step."""
-    h = 1e-4 * max(1.0, lam)
+def mpmath_grad_log_partition(p: int, lam: float) -> list:
+    """Reference: derivatives 1-3 of log Z from 30-digit moments of r^2 under the
+    radial law exp(-lam r^2 / 2) sin^(p-1) r on [0, pi].
 
-    def f(t: float) -> float:
-        return log_partition(p, t)
+    The integrals are split every half standard deviation 1 / (2 sqrt(lam)) up
+    to 20 of them, so each piece is smooth enough for mpmath's Gauss-Legendre
+    rule at any concentration.
+    """
+    import mpmath
 
-    if order == 1:
-        return (f(lam + h) - f(lam - h)) / (2.0 * h)
-    if order == 2:
-        return (f(lam + h) - 2.0 * f(lam) + f(lam - h)) / (h * h)
-    return (f(lam + 2 * h) - 2 * f(lam + h) + 2 * f(lam - h) - f(lam - 2 * h)) / (2.0 * h**3)
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+        step = 1 / (2 * mpmath.sqrt(lam))
+        inner = [j * step for j in range(1, 41) if j * step < mpmath.pi]
+        edges = [mpmath.mpf(0), *inner, mpmath.pi]
+
+        def moment(k):
+            return mpmath.quad(
+                lambda r: r ** (2 * k) * mpmath.exp(-lam * r * r / 2) * mpmath.sin(r) ** (p - 1),
+                edges,
+                method="gauss-legendre",
+            )
+
+        m0, m1, m2, m3 = (moment(k) for k in range(4))
+        e1, e2, e3 = m1 / m0, m2 / m0, m3 / m0
+        central_3 = e3 - 3 * e1 * e2 + 2 * e1**3
+        return [float(-e1 / 2), float((e2 - e1 * e1) / 4), float(-central_3 / 8)]
 
 
 class TestLogPartition:
@@ -166,33 +180,31 @@ class TestGradLogPartition:
         mpmath.mp.dps = 40
         f = lambda t: mpmath.log(mpmath.sqrt(2 * mpmath.pi / t) * mpmath.erf(mpmath.pi * mpmath.sqrt(t / 2)))
         oracle = float(mpmath.diff(f, mpmath.mpf(10), 3))
-        assert grad_log_partition(1, 10.0, order=3, h=0.05) == pytest.approx(oracle, rel=1e-2)
+        assert grad_log_partition(1, 10.0, order=3) == pytest.approx(oracle, rel=1e-10)
 
-    def test_one_call_stencil_equals_scalar_calls(self):
-        for p in (1, 2, 3, 5, 10, 20):
-            for lam in np.logspace(-2.0, 7.0, 60):
-                for order in (1, 2, 3):
-                    got = grad_log_partition(p, float(lam), order=order)
-                    assert got == scalar_call_grad_log_partition(p, float(lam), order), (p, lam, order)
+    @pytest.mark.parametrize("p", [1, 2, 5, 20])
+    def test_orders_match_mpmath(self, p):
+        # exact moments on the quadrature nodes, so every order holds at the
+        # relative accuracy of the quadrature itself, from nearly flat to
+        # LAMBDA_MAX
+        for lam in (1e-3, 1.0, 130.0, 1e4, 1e8):
+            oracle = mpmath_grad_log_partition(p, lam)
+            for order in (1, 2, 3):
+                got = grad_log_partition(p, lam, order=order)
+                assert got == pytest.approx(oracle[order - 1], rel=1e-12), (lam, order)
 
-    def test_stencil_guard(self):
-        with pytest.raises(ValueError, match="shrink h"):
-            grad_log_partition(2, 1e-5, order=1)
-        with pytest.raises(ValueError):
-            grad_log_partition(2, 1.0, order=4)
-
-    def test_stencil_inputs_validated_before_the_nodes(self):
-        # the stencil's log partition calls skip their input checks, so the
-        # dimension and the step are checked here
+    def test_inputs_validated_before_the_nodes(self):
+        # the quadrature nodes skip their input checks, so the dimension, the
+        # concentration and the order are checked here
         with pytest.raises(ValueError, match="dimension"):
             grad_log_partition(0, 1.0)
         with pytest.raises(ValueError, match="dimension"):
             grad_log_partition(1.5, 1.0)
-        for h in (float("nan"), 0.0, -1e-3):
-            with pytest.raises(ValueError, match="h must be positive"):
-                grad_log_partition(2, 1.0, h=h)
-        with pytest.raises(ValueError, match="shrink h"):
-            grad_log_partition(2, 1.0, h=float("inf"))
+        for bad in (float("nan"), float("inf"), -1e-3):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                grad_log_partition(2, bad)
+        with pytest.raises(ValueError, match="order"):
+            grad_log_partition(2, 1.0, order=4)
 
 
 class TestSampler:

@@ -70,6 +70,13 @@ class TestWeightedFrechetMean:
         with pytest.raises(ValueError, match="weights"):
             weighted_frechet_mean(pts, [0.0, 0.0])
 
+    @pytest.mark.parametrize("call", [weighted_frechet_mean, fit_sn], ids=["frechet", "fit_sn"])
+    def test_two_dimensional_weights_rejected(self, call):
+        # only 1-D weights are accepted, with the estimator's own message
+        pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 10.0), 20, 0)
+        with pytest.raises(ValueError, match="weights must be a 1-D array"):
+            call(pts, np.ones((20, 1)))
+
     def test_antipodal_initialization_rejected(self):
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="ill-posed"):
@@ -115,7 +122,7 @@ class TestWeightedFrechetMean:
             from snmix.estimation import _armijo_columns
 
             nxt, found = _armijo_columns(
-                pts, w[:, None], mu[None, :], mean_log[None, :], np.array([grad_norm])
+                pts, w[None, :], mu[None, :], mean_log[None, :], np.array([grad_norm])
             )
             if not found[0]:
                 break
@@ -312,39 +319,39 @@ class TestColumnSolvers:
         rng = np.random.default_rng(59)
         centers = unitize(rng.standard_normal((3, 4)))
         pts = np.vstack([sample(SNParams(c, 15.0), 40, rng) for c in centers])
-        # columns 0-2 each lean on one cluster, column 3 spreads over all of
-        # them, column 4 is a single point and stops at the first iteration,
-        # and row 7 has no weight anywhere
-        W = rng.uniform(0.0, 1.0, (len(pts), 5))
-        W[:, :3] *= np.where(np.eye(3), 1.0, 1e-3).repeat(40, axis=0)
-        W[:, 4] = 0.0
-        W[5, 4] = 1.0
-        W[7] = 0.0
-        W /= W.sum(axis=0)
+        # components 0-2 each lean on one cluster, component 3 spreads over
+        # all of them, component 4 is a single point and stops at the first
+        # iteration, and point 7 has no weight anywhere
+        W = rng.uniform(0.0, 1.0, (5, len(pts)))
+        W[:3] *= np.where(np.eye(3), 1.0, 1e-3).repeat(40, axis=1)
+        W[4] = 0.0
+        W[4, 5] = 1.0
+        W[:, 7] = 0.0
+        W /= W.sum(axis=1, keepdims=True)
         mus, iterations, converged = _frechet_columns(pts, W, cfg)
         assert iterations[4] == 1 and converged[4] and iterations.max() > 1
-        for k in range(W.shape[1]):
-            mu, it, conv = _frechet(pts, W[:, k], cfg)
+        for k in range(W.shape[0]):
+            mu, it, conv = _frechet(pts, W[k], cfg)
             np.testing.assert_allclose(mus[k], mu, rtol=0.0, atol=1e-12)
             assert (iterations[k], converged[k]) == (it, conv)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_frechet_columns_match_single_solves_random_weights(self, seed):
-        # a seeded random (N, K) weight matrix, some rows and a column mostly
-        # empty, over data inside a cap around one pole
+        # a seeded random (K, N) weight matrix, some points and a component
+        # mostly empty, over data inside a cap around one pole
         rng = np.random.default_rng([73, seed])
         p, k, n = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(5, 80))
         pole = unitize(rng.standard_normal(p + 1))
         pts = sample(SNParams(pole, float(rng.uniform(2.0, 40.0))), n, rng)
         pts = pts[pts @ pole > 0.0]
-        W = rng.uniform(0.0, 1.0, (len(pts), k)) ** rng.uniform(0.5, 4.0, k)
-        W[rng.random(len(pts)) < 0.1] = 0.0
-        W[rng.random(len(pts)) < 0.9, k - 1] = 0.0
-        W[0] = 0.2  # every column keeps some weight
-        W /= W.sum(axis=0)
+        W = rng.uniform(0.0, 1.0, (k, len(pts))) ** rng.uniform(0.5, 4.0, (k, 1))
+        W[:, rng.random(len(pts)) < 0.1] = 0.0
+        W[k - 1, rng.random(len(pts)) < 0.9] = 0.0
+        W[:, 0] = 0.2  # every component keeps some weight
+        W /= W.sum(axis=1, keepdims=True)
         mus, iterations, converged = _frechet_columns(pts, W, FrechetConfig())
         for j in range(k):
-            mu, it, conv = _frechet(pts, W[:, j], FrechetConfig())
+            mu, it, conv = _frechet(pts, W[j], FrechetConfig())
             np.testing.assert_allclose(mus[j], mu, rtol=0.0, atol=1e-10)
             assert (iterations[j], converged[j]) == (it, conv)
 
@@ -381,17 +388,31 @@ class TestColumnSolvers:
                 assert lams[k] == pytest.approx(lam, rel=1e-12)
                 assert (iterations[k], converged[k]) == (it, conv)
 
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_iterations_stable_under_one_ulp(self, method):
+        # the stop test sits far above the rounding of exact derivatives, so a
+        # one-ulp change of a dispersion never changes an iteration count
+        cfg = ConcentrationConfig(method=method)
+        rng = np.random.default_rng(89)
+        for p in (1, 2, 3, 5, 10, 20):
+            lams = 10.0 ** rng.uniform(0.0, 4.0, 300)
+            d = np.array([-grad_log_partition(p, lam) for lam in lams]) * rng.uniform(0.9, 1.1, 300)
+            _, iterations, converged = _concentration_columns(d, p, cfg)
+            _, iterations_up, _ = _concentration_columns(np.nextafter(d, np.inf), p, cfg)
+            assert converged.all()
+            np.testing.assert_array_equal(iterations_up, iterations, err_msg=f"p={p}")
+
     def test_dispersions_match_geodesic_distances(self):
         rng = np.random.default_rng(61)
         pts = unitize(rng.standard_normal((50, 4)))
         mus = unitize(rng.standard_normal((3, 4)))
-        W = rng.uniform(0.0, 1.0, (50, 3))
-        W[9] = 0.0
-        W[:, 2] = 0.0
-        W[4, 2] = 1.0  # a one-point column
+        W = rng.uniform(0.0, 1.0, (3, 50))
+        W[:, 9] = 0.0
+        W[2] = 0.0
+        W[2, 4] = 1.0  # a one-point component
         got = _dispersions(pts, W, mus)
         for k in range(3):
-            ref = 0.5 * np.sum(W[:, k] * np.square(geodesic_distance(pts, mus[k])))
+            ref = 0.5 * np.sum(W[k] * np.square(geodesic_distance(pts, mus[k])))
             assert got[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 

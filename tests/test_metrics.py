@@ -183,3 +183,34 @@ def test_non_finite_row_rejected(cluster):
     x[3] = np.nan
     with pytest.raises(ValueError, match="points must be finite"):
         cluster(x, 2, seed=0)
+
+
+@pytest.mark.parametrize("cluster", [kmeans, spherical_kmeans], ids=["kmeans", "spherical_kmeans"])
+def test_infinite_row_rejected_before_unitize(cluster):
+    # the finite check runs before spherical_kmeans normalizes the rows, so
+    # inf / inf never warns (pytest turns RuntimeWarning into an error)
+    x = np.random.default_rng(21).standard_normal((20, 3))
+    x[3, 1] = np.inf
+    with pytest.raises(ValueError, match="points must be finite"):
+        cluster(x, 2, seed=0)
+
+
+def reference_member_means(x, labels, counts):
+    """The per-cluster loop the bincount means replaced: each cluster's members
+    in row order from a stable argsort, then the mean of the member rows."""
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+    return np.stack([x[m].mean(axis=0) for m in members])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_member_means_equal_reference_bit_for_bit(seed):
+    from snmix.metrics import _member_means
+
+    rng = np.random.default_rng([97, seed])
+    n, d, k = int(rng.integers(5, 4000)), int(rng.integers(1, 8)), int(rng.integers(1, 6))
+    x = unitize(rng.standard_normal((n, d + 1))) * rng.uniform(0.5, 2.0, (n, 1))
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    rng.shuffle(labels)
+    counts = np.bincount(labels, minlength=k)
+    got = _member_means(np.ascontiguousarray(x.T), labels, counts)
+    np.testing.assert_array_equal(got, reference_member_means(x, labels, counts))

@@ -119,12 +119,14 @@ class TestPosterior:
     )
     def test_matches_logsumexp(self, model):
         x = unitize(np.random.default_rng(5).standard_normal((200, 3)))
+        # the kernel is component-major: gamma and the log joint are (K, N)
         gamma, row_loglik = _posterior(x, model)
-        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-        ref = logsumexp(_log_joint(x, model), axis=1)
+        assert gamma.shape == (model.K, len(x)) and row_loglik.shape == (len(x),)
+        np.testing.assert_allclose(gamma.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        ref = logsumexp(_log_joint(x, model), axis=0)
         np.testing.assert_allclose(row_loglik, ref, rtol=1e-12, atol=0.0)
         if model.weights.min() == 0.0:
-            assert np.all(gamma[:, model.weights == 0.0] == 0.0)
+            assert np.all(gamma[model.weights == 0.0] == 0.0)
 
     @pytest.mark.parametrize("call", [e_step, log_likelihood], ids=["e_step", "log_likelihood"])
     def test_points_and_model_on_different_spheres(self, call):
@@ -158,6 +160,24 @@ class TestStochasticize:
     def test_deterministic_given_seed(self):
         g = np.random.default_rng(0).dirichlet([1.0, 1.0, 1.0], size=50)
         np.testing.assert_array_equal(stochasticize(g, 9), stochasticize(g, 9))
+
+    def test_same_draws_as_row_major_reference(self):
+        # the (K, N) kernel behind the public (N, K) function draws the same
+        # uniforms in the same order, so stochastic EM fits do not change
+        def reference(gamma, rng):
+            rng = np.random.default_rng(rng)
+            cum = np.cumsum(gamma, axis=1)
+            cum /= cum[:, -1:]
+            idx = np.sum(rng.random((gamma.shape[0], 1)) >= cum, axis=1)
+            out = np.zeros_like(gamma)
+            out[np.arange(gamma.shape[0]), np.clip(idx, 0, gamma.shape[1] - 1)] = 1.0
+            return out
+
+        g = np.random.default_rng(1).dirichlet([0.5, 1.0, 2.0, 1.0], size=300)
+        for seed in range(5):
+            out = stochasticize(g, seed)
+            assert out.shape == g.shape and out.flags.c_contiguous
+            np.testing.assert_array_equal(out, reference(g, seed))
 
 
 class TestMStep:
@@ -292,8 +312,8 @@ class TestFitEM:
         pts, _ = simulate.household_mix(seed=1)
         report = mix.fit_em(pts, EMConfig(K=2, assignment="hard", seed=1))
         assert len(seen) == report.iterations >= 2
-        for gamma in seen:
-            assert np.all(np.sum(gamma == 1.0, axis=1) == 1)
+        for gamma in seen:  # (K, N): one 1 per point
+            assert np.all(np.sum(gamma == 1.0, axis=0) == 1)
             assert np.all((gamma == 0.0) | (gamma == 1.0))
 
     def test_stochastic_deterministic_by_seed(self):
@@ -372,7 +392,7 @@ class TestFitEM:
         original = mix._frechet_columns
 
         def counting(points, W, cfg):
-            calls.append(W.shape[1])
+            calls.append(W.shape[0])  # W is (K, N)
             return original(points, W, cfg)
 
         monkeypatch.setattr(mix, "_frechet_columns", counting)

@@ -1,6 +1,8 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and removed names stay removed."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -23,3 +25,26 @@ def test_module_exports_resolve(module_name):
     names = getattr(module, "__all__", [])
     missing = [name for name in names if not hasattr(module, name)]
     assert missing == []
+
+
+# names removed from the API; each is gone, not kept as an alias
+REMOVED = {
+    "snmix.distribution": ["_stencil_log_partition", "_STENCIL_OFFSETS"],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(REMOVED))
+def test_removed_names_stay_removed(module_name):
+    module = importlib.import_module(module_name)
+    assert [name for name in REMOVED[module_name] if hasattr(module, name)] == []
+
+
+def test_finite_difference_step_removed():
+    # the concentration derivatives are exact, so no step size is left to set
+    from snmix import ConcentrationConfig, grad_log_partition
+    from snmix.cli import build_parser
+
+    assert "h_scale" not in {f.name for f in dataclasses.fields(ConcentrationConfig)}
+    assert "h" not in inspect.signature(grad_log_partition).parameters
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fit", "--input", "x.csv", "--h-scale", "1e-4"])
