@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha",
         type=float,
         default=FrechetConfig.alpha,
-        help="fixed step size, in (0, 1] (default: %(default)s, the 1/L step)",
+        help="step size of the fixed step rule only, in (0, 1] "
+        "(default: %(default)s, the 1/L step); the line search ignores it",
     )
     fit.add_argument("--method", choices=["newton", "halley"], default="newton")
     fit.add_argument("--eps", type=float, default=1e-8, help="stopping tolerance")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geometry import SpherePoint, batch_exp, batch_project, geodesic_distance
 
@@ -79,7 +78,7 @@ def _log_radial(p: int, lam, r):
 @lru_cache(maxsize=None)
 def _log_sphere_area(p: int) -> float:
     # surface area of S^(p-1): 2 pi^(p/2) / Gamma(p/2)
-    return math.log(2.0) + 0.5 * p * math.log(math.pi) - float(gammaln(0.5 * p))
+    return math.log(2.0) + 0.5 * p * math.log(math.pi) - math.lgamma(0.5 * p)
 
 
 def _radial_cutoff(p: int, lam):

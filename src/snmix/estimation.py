@@ -52,6 +52,9 @@ MAX_DISPERSION = 0.5 * math.pi**2
 
 _ARMIJO_C = 1e-4
 _ARMIJO_MAX_HALVINGS = 30
+# Largest first trial of the line search: bounds the Barzilai-Borwein step
+# where the curvature along the last step is nearly zero.
+_BB_MAX_STEP = 1e3
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,11 @@ class FrechetConfig:
     """Settings for the weighted Frechet mean solver.
 
     ``step_rule`` is either "fixed" (constant step ``alpha`` along the
-    negative gradient) or "line_search" (backtracking from 1 with an Armijo
-    test). The default ``alpha = 0.5`` is the 1/L step: the Hessian of
-    1/2 sum_n w_n d^2(x_n, mu) is at most the identity away from the cut
-    locus, so the update is mu <- Exp_mu(sum_n w_n Log_mu(x_n)), the
+    negative gradient) or "line_search" (an Armijo backtracking search whose
+    first trial is the Barzilai-Borwein step, so ``alpha`` applies to the
+    fixed rule only). The default ``alpha = 0.5`` is the 1/L step: the
+    Hessian of 1/2 sum_n w_n d^2(x_n, mu) is at most the identity away from
+    the cut locus, so the update is mu <- Exp_mu(sum_n w_n Log_mu(x_n)), the
     Karcher-mean iteration. Iterations stop when the gradient norm or the
     iterate displacement falls below ``epsilon``.
     """
@@ -150,32 +154,73 @@ def _dispersions(points: np.ndarray, W: np.ndarray, mus: np.ndarray) -> np.ndarr
     return 0.5 * (W * np.square(_distance_matrix(mus, points))).sum(axis=1)
 
 
-def _armijo_columns(points, W, mus, mean_log, grad_norm):
+def _angles(mus: np.ndarray, points: np.ndarray):
+    """Cosines clip(mus @ points.T) and angles arccos of them, both (K, n)."""
+    C = mus @ points.T
+    np.clip(C, -1.0, 1.0, out=C)
+    return C, np.arccos(C)
+
+
+def _bb_trial(mu, mean_log, prev, alpha):
+    """First trial ``alpha`` of each column's line search, for the step 2 alpha mean_log.
+
+    The Barzilai-Borwein step <s, s> / <s, y>, with s = 2 alpha prev the last
+    accepted step (taken along the previous mean log map ``prev`` with step
+    ``alpha``) and y the gradient -2 mean_log minus the previous gradient
+    -2 prev, moved to ``mu`` by tangent projection. Written out, the ratio is
+    alpha |prev|^2 / (|prev|^2 - (prev . mu)^2 - prev . mean_log). It is
+    clamped to [1/2, _BB_MAX_STEP]: 1/2 is the 1/L (Karcher) step, since the
+    Hessian of sum_n w_n d^2 is at most 2I. Without a previous step (``prev``
+    None), or where <s, y> <= 0, it is 1/2.
+    """
+    if prev is None:
+        return np.full(mu.shape[0], 0.5)
+    ss = (prev * prev).sum(axis=1)
+    sy = ss - np.square((prev * mu).sum(axis=1)) - (prev * mean_log).sum(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bb = alpha * ss / sy
+    return np.where(sy > 0.0, np.clip(bb, 0.5, _BB_MAX_STEP), 0.5)
+
+
+def _armijo_columns(points, W, mus, mean_log, grad_norm, C, theta, alpha):
     """Backtracking step along each column's negative gradient.
 
-    Returns (new, found): ``new[k]`` is the accepted candidate where
-    ``found[k]`` and the unchanged ``mus[k]`` elsewhere. Each column halves
-    its own step until its Armijo test passes or the halvings run out. The
-    test is on the dispersion, half of sum_n w_n d^2, so its decrease is halved.
+    ``C`` and ``theta`` are the cosines and angles between ``mus`` and the
+    points; ``alpha`` is each column's first trial, for the step
+    2 alpha mean_log. Each column halves its own step until its Armijo test
+    passes or the halvings run out. The test is on the dispersion, half of
+    sum_n w_n d^2, so its decrease is halved; the dispersion at ``mus`` comes
+    from ``theta``, and each trial point's angles are computed once.
+
+    Returns (new, found, C, theta, alpha): where ``found[k]``, ``new[k]`` is
+    the accepted candidate with its cosines, angles and step; elsewhere it is
+    the unchanged ``mus[k]`` with the input cosines and angles and step 0.
     """
-    f0 = _dispersions(points, W, mus)
-    new = mus.copy()
-    found = np.zeros(mus.shape[0], dtype=bool)
-    todo = np.arange(mus.shape[0])
-    alpha = 1.0
+    f0 = 0.5 * (W * np.square(theta)).sum(axis=1)
+    new = None
     for _ in range(_ARMIJO_MAX_HALVINGS):
-        cand = unitize(batch_exp(mus, 2.0 * alpha * mean_log))
-        ok = _dispersions(points, W, cand) <= f0 - 0.5 * _ARMIJO_C * alpha * np.square(grad_norm)
+        cand = unitize(batch_exp(mus, 2.0 * alpha[:, None] * mean_log))
+        C_cand, theta_cand = _angles(cand, points)
+        f = 0.5 * (W * np.square(theta_cand)).sum(axis=1)
+        ok = f <= f0 - 0.5 * _ARMIJO_C * alpha * np.square(grad_norm)
+        if new is None:
+            if ok.all():
+                # every first trial passed, the usual case
+                return cand, ok, C_cand, theta_cand, alpha
+            new, C, theta = mus.copy(), C.copy(), theta.copy()
+            todo = np.arange(mus.shape[0])
+            found, accepted = np.zeros(todo.size, dtype=bool), np.zeros(todo.size)
         if ok.any():
-            new[todo[ok]] = cand[ok]
-            found[todo[ok]] = True
+            idx = todo[ok]
+            new[idx], C[idx], theta[idx] = cand[ok], C_cand[ok], theta_cand[ok]
+            found[idx], accepted[idx] = True, alpha[ok]
             if ok.all():
                 break
             keep = ~ok
             todo, W, mus, mean_log = todo[keep], W[keep], mus[keep], mean_log[keep]
-            f0, grad_norm = f0[keep], grad_norm[keep]
-        alpha *= 0.5
-    return new, found
+            f0, grad_norm, alpha = f0[keep], grad_norm[keep], alpha[keep]
+        alpha = 0.5 * alpha
+    return new, found, C, theta, accepted
 
 
 def _log_factor(C: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -197,7 +242,10 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
     iteration count, and is frozen once it stops. With C = mus @ x.T and
     theta = arccos C, the weighted mean of the log maps
     sum_n W_kn theta_kn / sin(theta_kn) (x_n - C_kn mu_k) is
-    F @ x - (sum_n F_kn C_kn) mu_k with F = W theta / sin(theta).
+    F @ x - (sum_n F_kn C_kn) mu_k with F = W theta / sin(theta). Under the
+    line search each iteration runs :func:`_armijo_columns` from the
+    :func:`_bb_trial` step and reuses the accepted trial's C and theta, so
+    the angles of each point it visits are computed once.
     """
     m0 = W @ points
     norm0 = np.linalg.norm(m0, axis=1)
@@ -207,13 +255,17 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
     mus = m0 / norm0[:, None]
     iterations = np.full(k, cfg.max_iter)
     converged = np.zeros(k, dtype=bool)
+    search = cfg.step_rule == "line_search"
     # components still iterating, with their locations and weight rows; a
     # component is indexed out only when it stops, so a K=1 solve never re-indexes
     active, mu, Wa = np.arange(k), mus.copy(), W
+    # the line search carries its accepted trial's angles into the next
+    # iterate, and its last mean log map and step into the next first trial;
+    # the fixed step resets theta to None, so the angles are computed afresh
+    theta = prev = alpha = None
     for t in range(1, cfg.max_iter + 1):
-        C = mu @ points.T
-        np.clip(C, -1.0, 1.0, out=C)
-        theta = np.arccos(C)
+        if theta is None:
+            C, theta = _angles(mu, points)
         if theta.max() > np.pi - CUT_LOCUS_TOL:
             raise ValueError(
                 "points include the antipode of a location estimate; the Frechet mean is undefined"
@@ -223,6 +275,8 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
         G = F @ points
         mean_log = G - (G * mu).sum(axis=1)[:, None] * mu
         grad_norm = 2.0 * np.sqrt((mean_log * mean_log).sum(axis=1))  # grad = -2 sum w Log(x)
+        if search:
+            alpha = _bb_trial(mu, mean_log, prev, alpha)
         stop = grad_norm < cfg.epsilon
         if stop.any():
             done = active[stop]
@@ -230,12 +284,18 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
             keep = ~stop
             active, mu, Wa = active[keep], mu[keep], Wa[keep]
             mean_log, grad_norm = mean_log[keep], grad_norm[keep]
+            if search:
+                C, theta, alpha = C[keep], theta[keep], alpha[keep]
             if active.size == 0:
                 break
-        if cfg.step_rule == "fixed":
-            new, found = unitize(batch_exp(mu, 2.0 * cfg.alpha * mean_log)), True
+        if search:
+            new, found, C, theta, alpha = _armijo_columns(
+                points, Wa, mu, mean_log, grad_norm, C, theta, alpha
+            )
+            prev = mean_log
         else:
-            new, found = _armijo_columns(points, Wa, mu, mean_log, grad_norm)
+            new, found = unitize(batch_exp(mu, 2.0 * cfg.alpha * mean_log)), True
+            theta = None
         # a component whose line search gave up keeps its mu, so it stops as unmoved
         stop = np.square(new - mu).sum(axis=1) < cfg.epsilon**2
         mu = new
@@ -244,6 +304,8 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
             iterations[done], converged[done], mus[done] = t, (stop & found)[stop], mu[stop]
             keep = ~stop
             active, mu, Wa = active[keep], mu[keep], Wa[keep]
+            if search:
+                C, theta, prev, alpha = C[keep], theta[keep], prev[keep], alpha[keep]
             if active.size == 0:
                 break
     mus[active] = mu

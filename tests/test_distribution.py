@@ -12,6 +12,7 @@ from snmix.distribution import (
     LAMBDA_MAX,
     SNParams,
     _log_partition_many,
+    _log_sphere_area,
     grad_log_partition,
     log_density,
     log_partition,
@@ -90,6 +91,17 @@ class TestLogPartition:
     def test_hypervolume_at_zero(self):
         for p in range(1, 7):
             assert log_partition(p, 0.0) == pytest.approx(math.log(sphere_hypervolume(p)), abs=1e-9)
+
+    def test_log_sphere_area_matches_mpmath(self):
+        # log(2 pi^(p/2) / Gamma(p/2)) within 1e-14 (about 45 ulp of 1) of a
+        # 30-digit reference, relative where the value exceeds 1 in size
+        import mpmath
+
+        with mpmath.workdps(30):
+            for p in range(1, 51):
+                half = mpmath.mpf(p) / 2
+                ref = float(mpmath.log(2) + half * mpmath.log(mpmath.pi) - mpmath.loggamma(half))
+                assert abs(_log_sphere_area(p) - ref) <= 1e-14 * max(1.0, abs(ref)), p
 
     def test_strictly_decreasing_in_lambda(self):
         for p in (1, 3, 7):

@@ -11,6 +11,9 @@ from snmix.estimation import (
     ConcentrationConfig,
     FrechetConfig,
     MLEResult,
+    _angles,
+    _armijo_columns,
+    _bb_trial,
     _concentration,
     _concentration_columns,
     _dispersions,
@@ -114,21 +117,24 @@ class TestWeightedFrechetMean:
         cfg = FrechetConfig(step_rule="line_search")
         mu = unitize(w @ pts)
         values = [frechet_value(pts, w, mu)]
+        C, theta = _angles(mu[None, :], pts)
+        prev = alpha = None
         for _ in range(30):
-            mean_log = w @ batch_log(mu, pts)
-            grad_norm = 2.0 * float(np.linalg.norm(mean_log))
-            if grad_norm < cfg.epsilon:
+            mean_log = (w @ batch_log(mu, pts))[None, :]
+            grad_norm = 2.0 * np.linalg.norm(mean_log, axis=1)
+            if grad_norm[0] < cfg.epsilon:
                 break
-            from snmix.estimation import _armijo_columns
-
-            nxt, found = _armijo_columns(
-                pts, w[None, :], mu[None, :], mean_log[None, :], np.array([grad_norm])
+            alpha = _bb_trial(mu[None, :], mean_log, prev, alpha)
+            nxt, found, C, theta, alpha = _armijo_columns(
+                pts, w[None, :], mu[None, :], mean_log, grad_norm, C, theta, alpha
             )
             if not found[0]:
                 break
-            mu = nxt[0]
+            # the carried angles are those of the accepted point
+            np.testing.assert_array_equal(theta, _angles(nxt, pts)[1])
+            prev, mu = mean_log, nxt[0]
             values.append(frechet_value(pts, w, mu))
-        assert np.all(np.diff(values) <= 0.0)
+        assert len(values) > 2 and np.all(np.diff(values) <= 0.0)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
     def test_descent_under_fixed_step_concentrated(self, alpha):
@@ -303,37 +309,106 @@ class TestFitSN:
         assert not res.support_ok  # wide support is flagged, not rejected
 
 
+def three_cluster_weights():
+    """Three lambda = 15 clusters of 40 points on S^3 and a (5, 120) weight matrix:
+    components 0-2 each lean on one cluster, component 3 spreads over all of
+    them, component 4 is a single point, and point 7 has no weight anywhere."""
+    rng = np.random.default_rng(59)
+    centers = unitize(rng.standard_normal((3, 4)))
+    pts = np.vstack([sample(SNParams(c, 15.0), 40, rng) for c in centers])
+    W = rng.uniform(0.0, 1.0, (5, len(pts)))
+    W[:3] *= np.where(np.eye(3), 1.0, 1e-3).repeat(40, axis=1)
+    W[4] = 0.0
+    W[4, 5] = 1.0
+    W[:, 7] = 0.0
+    W /= W.sum(axis=1, keepdims=True)
+    return pts, W
+
+
 class TestColumnSolvers:
     """The column-batched solvers agree with one single-column solve per column."""
 
-    # The line search runs to max_iter: its last steps before the gradient
-    # test compare decreases near 1e-16, where a matrix product and a
-    # matrix-vector product round differently, so there a column and its
-    # single solve may stop a few iterations apart.
     @pytest.mark.parametrize(
         "cfg",
-        [FrechetConfig(), FrechetConfig(step_rule="line_search", max_iter=25)],
+        [FrechetConfig(), FrechetConfig(step_rule="line_search")],
         ids=["fixed", "line_search"],
     )
     def test_frechet_columns_match_single_solves(self, cfg):
-        rng = np.random.default_rng(59)
-        centers = unitize(rng.standard_normal((3, 4)))
-        pts = np.vstack([sample(SNParams(c, 15.0), 40, rng) for c in centers])
-        # components 0-2 each lean on one cluster, component 3 spreads over
-        # all of them, component 4 is a single point and stops at the first
-        # iteration, and point 7 has no weight anywhere
-        W = rng.uniform(0.0, 1.0, (5, len(pts)))
-        W[:3] *= np.where(np.eye(3), 1.0, 1e-3).repeat(40, axis=1)
-        W[4] = 0.0
-        W[4, 5] = 1.0
-        W[:, 7] = 0.0
-        W /= W.sum(axis=1, keepdims=True)
+        pts, W = three_cluster_weights()
         mus, iterations, converged = _frechet_columns(pts, W, cfg)
+        # component 4 is a single point and stops at the first iteration
         assert iterations[4] == 1 and converged[4] and iterations.max() > 1
         for k in range(W.shape[0]):
             mu, it, conv = _frechet(pts, W[k], cfg)
             np.testing.assert_allclose(mus[k], mu, rtol=0.0, atol=1e-12)
             assert (iterations[k], converged[k]) == (it, conv)
+
+    def test_line_search_no_slower_than_fixed_step(self):
+        # the Barzilai-Borwein first trial does not overshoot on concentrated
+        # columns, where a first trial of twice the Karcher step oscillates
+        # for hundreds of iterations, and beats the fixed step on diffuse data
+        search = FrechetConfig(step_rule="line_search")
+        pts, W = three_cluster_weights()
+        _, fixed_it, _ = _frechet_columns(pts, W, FrechetConfig())
+        _, search_it, converged = _frechet_columns(pts, W, search)
+        assert converged.all()
+        assert np.all(search_it <= fixed_it), (search_it, fixed_it)
+        pole = np.zeros(21)
+        pole[-1] = 1.0
+        x = sample(SNParams(pole, 1.0), 200, np.random.default_rng(3))
+        w = np.full(200, 1.0 / 200)
+        _, fixed_it, _ = _frechet(x, w, FrechetConfig())
+        _, search_it, converged = _frechet(x, w, search)
+        assert converged and search_it <= fixed_it, (search_it, fixed_it)
+
+    def test_armijo_columns_match_single_columns(self):
+        # one column passes its first trial and one must halve from 1e3, so
+        # the accepted points, angles and steps are gathered column by column
+        rng = np.random.default_rng(97)
+        pts = unitize(rng.standard_normal((60, 4)) + np.array([1.5, 0.0, 0.0, 0.0]))
+        W = rng.uniform(0.1, 1.0, (2, 60))
+        W /= W.sum(axis=1, keepdims=True)
+        mus = unitize(pts[:2] + 0.3)
+        C, theta = _angles(mus, pts)
+        F = W * _log_factor(C, theta)
+        G = F @ pts
+        mean_log = G - (G * mus).sum(axis=1)[:, None] * mus
+        grad_norm = 2.0 * np.linalg.norm(mean_log, axis=1)
+        alpha = np.array([0.5, 1e3])
+        new, found, C_new, theta_new, step = _armijo_columns(
+            pts, W, mus, mean_log, grad_norm, C, theta, alpha
+        )
+        assert found.all() and step[0] == 0.5 and 0.0 < step[1] < 1e3
+        np.testing.assert_allclose(theta_new, _angles(new, pts)[1], rtol=0.0, atol=1e-15)
+        for k in range(2):
+            one = _armijo_columns(pts, W[k:k + 1], mus[k:k + 1], mean_log[k:k + 1],
+                                  grad_norm[k:k + 1], C[k:k + 1], theta[k:k + 1], alpha[k:k + 1])
+            np.testing.assert_allclose(new[k], one[0][0], rtol=0.0, atol=1e-15)
+            assert (found[k], step[k]) == (one[1][0], one[4][0])
+
+    def test_one_arccos_per_trial_point(self, monkeypatch):
+        # the line search computes each trial point's angles once and hands
+        # the accepted ones to the next iterate: arccos sees the K starting
+        # locations and then only the candidates of the search
+        from snmix import estimation
+
+        arccos_rows, trial_rows = [], []
+        real_arccos, real_unitize = np.arccos, estimation.unitize
+
+        def arccos(x, *args, **kwargs):
+            arccos_rows.append(np.shape(x)[0])
+            return real_arccos(x, *args, **kwargs)
+
+        def unitize_(v, *args, **kwargs):
+            trial_rows.append(np.shape(v)[0])
+            return real_unitize(v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arccos", arccos)
+        monkeypatch.setattr(estimation, "unitize", unitize_)
+        pts, W = three_cluster_weights()
+        _, iterations, _ = _frechet_columns(pts, W, FrechetConfig(step_rule="line_search"))
+        assert sum(trial_rows) >= iterations.sum() - W.shape[0]
+        assert sum(arccos_rows) == W.shape[0] + sum(trial_rows)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_frechet_columns_match_single_solves_random_weights(self, seed):

@@ -3,7 +3,11 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +52,15 @@ def test_finite_difference_step_removed():
     assert "h" not in inspect.signature(grad_log_partition).parameters
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fit", "--input", "x.csv", "--h-scale", "1e-4"])
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test dependency only; a fresh interpreter that imports the
+    # package (and its CLI) must not load any SciPy module
+    src = str(Path(snmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, snmix, snmix.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
