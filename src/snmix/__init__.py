@@ -25,14 +25,10 @@ from .estimation import (
 )
 from .geometry import (
     SpherePoint,
-    TangentVector,
     batch_exp,
     batch_log,
     batch_project,
-    exp_map,
     geodesic_distance,
-    log_map,
-    project_to_tangent,
     unitize,
 )
 from .metrics import jaccard_index, kmeans, nmi, rand_index, spherical_kmeans
@@ -58,7 +54,6 @@ __all__ = [
     "MAX_DISPERSION",
     "SNParams",
     "SpherePoint",
-    "TangentVector",
     "FrechetConfig",
     "ConcentrationConfig",
     "MLEResult",
@@ -66,9 +61,6 @@ __all__ = [
     "EMReport",
     "MixtureModel",
     "geodesic_distance",
-    "project_to_tangent",
-    "exp_map",
-    "log_map",
     "batch_project",
     "batch_exp",
     "batch_log",

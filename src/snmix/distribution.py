@@ -32,6 +32,15 @@ DEFAULT_QUAD_ORDER = 128
 CDF_CELLS = 4096
 
 
+def _check_lams(lams) -> None:
+    """Reject concentrations (a number or a non-empty array) unless every one is
+    finite and in [0, LAMBDA_MAX]."""
+    a = np.asarray(lams, dtype=float)
+    # min and max propagate NaN, which fails the comparison
+    if not (0.0 <= a.min() and a.max() <= LAMBDA_MAX):
+        raise ValueError(f"concentration must be in [0, {LAMBDA_MAX:g}]")
+
+
 @dataclass(frozen=True)
 class SNParams:
     """Location and concentration of one spherical normal component.
@@ -47,8 +56,7 @@ class SNParams:
         if not isinstance(self.mu, SpherePoint):
             object.__setattr__(self, "mu", SpherePoint(self.mu))
         lam = float(self.lam)
-        if not math.isfinite(lam) or lam < 0.0 or lam > LAMBDA_MAX:
-            raise ValueError(f"concentration must be in [0, {LAMBDA_MAX:g}]")
+        _check_lams(lam)
         object.__setattr__(self, "lam", lam)
 
     @property
@@ -232,10 +240,13 @@ def sample(params: SNParams, n: int, rng) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need n >= 1 draws")
-    n = int(n)
+    return _sample(params.mu.coords, params.lam, int(n), rng)
+
+
+def _sample(mu: np.ndarray, lam: float, n: int, rng) -> np.ndarray:
+    """:func:`sample` at the unit location ``mu`` and concentration ``lam``, unchecked."""
     rng = np.random.default_rng(rng)
-    mu = params.mu.coords
-    radii = _sample_radii(params.p, params.lam, n, rng)
+    radii = _sample_radii(mu.shape[0] - 1, lam, n, rng)
     v = batch_project(mu, rng.standard_normal((n, mu.shape[0])))
     norms = np.linalg.norm(v, axis=-1)
     while np.any(norms < 1e-12):  # probability-zero redraw guard

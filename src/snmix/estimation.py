@@ -57,6 +57,20 @@ _ARMIJO_MAX_HALVINGS = 30
 _BB_MAX_STEP = 1e3
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count ``name`` that is not an integer (``int`` or NumPy) of at least 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
+def _check_stop_rule(name: str, epsilon, max_iter) -> None:
+    """Reject a tolerance ``name`` that is not finite and positive (a NaN one would
+    never stop the iteration) and an iteration budget that is not a positive integer."""
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"{name} must be finite and positive")
+    _check_count("max_iter", max_iter)
+
+
 @dataclass(frozen=True)
 class FrechetConfig:
     """Settings for the weighted Frechet mean solver.
@@ -81,8 +95,7 @@ class FrechetConfig:
             raise ValueError("step_rule must be 'fixed' or 'line_search'")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.epsilon <= 0.0 or self.max_iter < 1:
-            raise ValueError("epsilon and max_iter must be positive")
+        _check_stop_rule("epsilon", self.epsilon, self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -102,8 +115,7 @@ class ConcentrationConfig:
     def __post_init__(self) -> None:
         if self.method not in ("newton", "halley"):
             raise ValueError("method must be 'newton' or 'halley'")
-        if self.epsilon <= 0.0 or self.max_iter < 1:
-            raise ValueError("epsilon and max_iter must be positive")
+        _check_stop_rule("epsilon", self.epsilon, self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Points live on S^p = {x in R^(p+1) : ||x|| = 1}; tangent vectors at x are
 the ambient vectors orthogonal to x. The ``batch_*`` functions operate on
 plain arrays with coordinates on the last axis and broadcast over leading
-axes, so a whole set of points can be mapped in a single call; the typed
-wrappers (:func:`exp_map`, :func:`log_map`, :func:`project_to_tangent`)
-work on single validated points.
+axes, so a whole set of points can be mapped in a single call; a single
+point or tangent vector is the one-row case. :class:`SpherePoint` holds one
+validated point (the location of an ``SNParams`` or a fit) and reads as its
+coordinate array wherever an array is expected.
 """
 
 from __future__ import annotations
@@ -14,20 +15,15 @@ import numpy as np
 
 __all__ = [
     "SpherePoint",
-    "TangentVector",
     "unitize",
     "geodesic_distance",
     "batch_project",
     "batch_exp",
     "batch_log",
-    "project_to_tangent",
-    "exp_map",
-    "log_map",
 ]
 
 NORM_FLOOR = 1e-8      # vectors shorter than this cannot be normalized
 CUT_LOCUS_TOL = 1e-8   # log map rejected within this of the antipode
-TANGENCY_TOL = 1e-10   # max |<base, vec>| accepted for a tangent vector
 UNIT_ROW_TOL = 1e-6    # max | ||x|| - 1 | accepted for a data row
 _EPS = float(np.finfo(float).eps)
 
@@ -89,42 +85,13 @@ class SpherePoint:
         return self.coords.shape[0] - 1
 
     def __array__(self, dtype=None, copy=None):
-        return self.coords if dtype is None else self.coords.astype(dtype)
+        # NumPy 1.x calls this without ``copy`` and rejects np.array(..., copy=None),
+        # so build the result without passing ``copy`` on
+        a = self.coords if dtype is None else self.coords.astype(dtype, copy=False)
+        return a.copy() if copy else a
 
     def __repr__(self) -> str:
         return f"SpherePoint({np.array2string(self.coords, precision=6)})"
-
-
-class TangentVector:
-    """An ambient vector attached to a base point and orthogonal to it."""
-
-    __slots__ = ("base", "vec")
-
-    def __init__(self, base, vec) -> None:
-        if not isinstance(base, SpherePoint):
-            base = SpherePoint(base)
-        v = np.asarray(vec, dtype=float)
-        if v.shape != base.coords.shape:
-            raise ValueError("tangent vector must match the ambient shape of its base")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("tangent components must be finite")
-        if abs(float(v @ base.coords)) > TANGENCY_TOL * max(1.0, float(np.linalg.norm(v))):
-            raise ValueError("vector is not tangent at the base point")
-        v = v.copy()
-        v.setflags(write=False)
-        self.base = base
-        self.vec = v
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    def __repr__(self) -> str:
-        return f"TangentVector(base={self.base!r}, vec={np.array2string(self.vec, precision=6)})"
-
-
-def _coords(x) -> np.ndarray:
-    return x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
 
 
 def geodesic_distance(x, y):
@@ -133,7 +100,7 @@ def geodesic_distance(x, y):
     The inner product is clamped to [-1, 1] so nearly identical or nearly
     antipodal pairs stay inside the arccos domain.
     """
-    cx, cy = _coords(x), _coords(y)
+    cx, cy = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if cx.shape[-1] != cy.shape[-1]:
         raise ValueError(f"dimension mismatch: {cx.shape[-1]} != {cy.shape[-1]}")
     dot = np.clip(np.sum(cx * cy, axis=-1), -1.0, 1.0)
@@ -148,7 +115,7 @@ def _distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def batch_project(base, z) -> np.ndarray:
     """Tangent-space projection z - <base, z> base, batched."""
-    b, zz = _coords(base), np.asarray(z, dtype=float)
+    b, zz = np.asarray(base, dtype=float), np.asarray(z, dtype=float)
     if b.shape[-1] != zz.shape[-1]:
         raise ValueError(f"dimension mismatch: {b.shape[-1]} != {zz.shape[-1]}")
     dot = np.sum(b * zz, axis=-1, keepdims=True)
@@ -163,7 +130,7 @@ def batch_exp(base, v) -> np.ndarray:
     machine epsilon, whose sine over itself is exactly 1, so a zero tangent
     vector maps back to the base exactly.
     """
-    b, vv = _coords(base), np.asarray(v, dtype=float)
+    b, vv = np.asarray(base, dtype=float), np.asarray(v, dtype=float)
     nv = _norms(vv)
     x = np.pi * (nv / np.pi)
     x = np.where(x, x, _EPS)
@@ -177,7 +144,7 @@ def batch_log(base, y) -> np.ndarray:
     distance. Inputs within CUT_LOCUS_TOL of the antipode are rejected
     because the inverse map is not defined there.
     """
-    b, ys = _coords(base), _coords(y)
+    b, ys = np.asarray(base, dtype=float), np.asarray(y, dtype=float)
     if b.shape[-1] != ys.shape[-1]:
         raise ValueError(f"dimension mismatch: {b.shape[-1]} != {ys.shape[-1]}")
     dot = np.clip(np.sum(b * ys, axis=-1, keepdims=True), -1.0, 1.0)
@@ -188,21 +155,3 @@ def batch_log(base, y) -> np.ndarray:
     pn = np.linalg.norm(proj, axis=-1, keepdims=True)
     factor = np.divide(theta, pn, out=np.zeros_like(theta), where=pn > 0.0)
     return proj * factor
-
-
-def project_to_tangent(x, z) -> TangentVector:
-    """Project an ambient vector onto the tangent space at ``x``."""
-    x = x if isinstance(x, SpherePoint) else SpherePoint(x)
-    return TangentVector(x, batch_project(x, z))
-
-
-def exp_map(u: TangentVector) -> SpherePoint:
-    """Exponential map: follow the geodesic generated by ``u`` for length ||u||."""
-    return SpherePoint(batch_exp(u.base, u.vec))
-
-
-def log_map(x, y) -> TangentVector:
-    """Inverse of :func:`exp_map` at ``x``; defined for y away from -x."""
-    x = x if isinstance(x, SpherePoint) else SpherePoint(x)
-    y = y if isinstance(y, SpherePoint) else SpherePoint(y)
-    return TangentVector(x, batch_log(x, y))

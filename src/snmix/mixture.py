@@ -19,19 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import SNParams, _log_partition_many
-from .distribution import sample as sn_sample
+from .distribution import _check_lams, _log_partition_many, _sample
 from .estimation import (
     MAX_DISPERSION,
     ConcentrationConfig,
     FrechetConfig,
+    _check_count,
+    _check_stop_rule,
     _concentration,
     _concentration_columns,
     _dispersions,
     _frechet_columns,
     _scale_columns,
 )
-from .geometry import SpherePoint, _distance_matrix, _unit_rows, unitize
+from .geometry import _distance_matrix, _unit_rows, unitize
 from .metrics import kmeans
 
 __all__ = [
@@ -53,23 +54,40 @@ _EMPTY_COLUMN_FRACTION = 1e-8   # column mass below this * N counts as an empty 
 _DISPERSION_FLOOR = 1e-10       # keeps collapsed clusters finite instead of raising mid-EM
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only, C-ordered float copy of ``values``."""
+    a = np.array(values, dtype=float, order="C")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class MixtureModel:
-    """K spherical normal components with mixing weights."""
+    """K spherical normal components with mixing weights, stored as arrays.
 
-    components: tuple
+    ``mus`` is the (K, p+1) array of component locations, ``lams`` the (K,)
+    concentrations and ``weights`` the (K,) mixing weights; the model keeps
+    read-only copies. Locations must be finite unit rows (within 1e-6, as
+    data rows) and are stored as given, not normalized again.
+    """
+
+    mus: np.ndarray
+    lams: np.ndarray
     weights: np.ndarray
     concentration_mode: str = "heterogeneous"
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if not comps or not all(isinstance(c, SNParams) for c in comps):
-            raise ValueError("components must be a non-empty sequence of SNParams")
-        dims = {c.p for c in comps}
-        if len(dims) != 1:
-            raise ValueError("all components must live on the same sphere")
-        w = np.asarray(self.weights, dtype=float).copy()
-        if w.shape != (len(comps),):
+        try:
+            mus = _frozen(_unit_rows(self.mus))
+        except ValueError as exc:
+            raise ValueError(f"model locations: {exc}") from None
+        k = mus.shape[0]
+        lams = _frozen(self.lams)
+        if lams.shape != (k,):
+            raise ValueError("concentrations must match the number of components")
+        _check_lams(lams)
+        w = _frozen(self.weights)
+        if w.shape != (k,):
             raise ValueError("weights must match the number of components")
         # a NaN weight passes both the sign and the sum test
         if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
@@ -77,27 +95,19 @@ class MixtureModel:
         if self.concentration_mode not in ("heterogeneous", "homogeneous"):
             raise ValueError("concentration_mode must be 'heterogeneous' or 'homogeneous'")
         if self.concentration_mode == "homogeneous":
-            lams = np.array([c.lam for c in comps])
             if float(np.ptp(lams)) > 1e-9 * max(1.0, float(lams.max())):
                 raise ValueError("homogeneous mode requires equal concentrations")
-        w.setflags(write=False)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "mus", mus)
+        object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "weights", w)
 
     @property
     def K(self) -> int:
-        return len(self.components)
+        return self.mus.shape[0]
 
     @property
     def p(self) -> int:
-        return self.components[0].p
-
-    def locations(self) -> np.ndarray:
-        """(K, p+1) array of component locations."""
-        return np.stack([c.mu.coords for c in self.components])
-
-    def concentrations(self) -> np.ndarray:
-        return np.array([c.lam for c in self.components])
+        return self.mus.shape[1] - 1
 
     def to_dict(self) -> dict:
         return {
@@ -105,10 +115,9 @@ class MixtureModel:
             "K": self.K,
             "mode": self.concentration_mode,
             "components": [
-                {"mu": [float(v) for v in c.mu.coords], "lambda": float(c.lam)}
-                for c in self.components
+                {"mu": mu.tolist(), "lambda": lam} for mu, lam in zip(self.mus, self.lams.tolist())
             ],
-            "weights": [float(w) for w in self.weights],
+            "weights": self.weights.tolist(),
         }
 
     @classmethod
@@ -117,14 +126,16 @@ class MixtureModel:
         if not isinstance(doc, dict) or not isinstance(doc.get("components"), list):
             raise ValueError("model document must be an object with a 'components' list")
         try:
-            comps = tuple(SNParams(SpherePoint(c["mu"]), float(c["lambda"])) for c in doc["components"])
-            weights, mode = np.asarray(doc["weights"], dtype=float), doc.get("mode", "heterogeneous")
+            mus = [c["mu"] for c in doc["components"]]
+            lams = [float(c["lambda"]) for c in doc["components"]]
+            if len({len(mu) for mu in mus}) > 1:
+                raise ValueError("all model components must live on the same sphere")
             p, K = int(doc["p"]), int(doc["K"])
+            model = cls(mus, lams, doc["weights"], doc.get("mode", "heterogeneous"))
         except KeyError as exc:
             raise ValueError(f"model document lacks {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed model document: {exc}") from None
-        model = cls(comps, weights, mode)
         if model.p != p or model.K != K:
             raise ValueError("model document is inconsistent with its components")
         return model
@@ -150,14 +161,12 @@ class EMConfig:
     concentration: ConcentrationConfig = ConcentrationConfig()
 
     def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
+        _check_count("K", self.K)
         if self.assignment not in ("soft", "hard", "stochastic"):
             raise ValueError("assignment must be 'soft', 'hard' or 'stochastic'")
         if self.concentration_mode not in ("heterogeneous", "homogeneous"):
             raise ValueError("concentration_mode must be 'heterogeneous' or 'homogeneous'")
-        if self.epsilon_gamma <= 0.0 or self.max_iter < 1:
-            raise ValueError("epsilon_gamma and max_iter must be positive")
+        _check_stop_rule("epsilon_gamma", self.epsilon_gamma, self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -177,9 +186,8 @@ class EMReport:
 
 def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
     """(K, N) matrix of log pi_k + log f_k(x_n)."""
-    mus = model.locations()
-    lams = model.concentrations()
-    d2 = np.square(_distance_matrix(mus, data))
+    lams = model.lams
+    d2 = np.square(_distance_matrix(model.mus, data))
     log_z = _log_partition_many(model.p, lams)
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.weights)
@@ -291,8 +299,7 @@ def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg) -> MixtureModel
         lams = np.full(len(mus), _concentration(pooled, p, conc_cfg)[0])
     else:
         lams = _concentration_columns(dispersions, p, conc_cfg)[0]
-    comps = tuple(SNParams(SpherePoint(m), float(lam)) for m, lam in zip(mus, lams))
-    return MixtureModel(comps, col / n, concentration_mode)
+    return MixtureModel(unitize(mus), lams, col / n, concentration_mode)
 
 
 def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:
@@ -333,13 +340,12 @@ def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):
             break
         j = int(dead[0])
         worst = int(np.argmin(row_loglik))
-        comps = list(model.components)
-        live = [c.lam for i, c in enumerate(comps) if i != j]
-        new_lam = float(np.median(live)) if model.concentration_mode == "heterogeneous" else comps[j].lam
-        comps[j] = SNParams(SpherePoint(x[worst]), new_lam)
-        w = model.weights.copy()
+        mus, lams, w = model.mus.copy(), model.lams.copy(), model.weights.copy()
+        mus[j] = unitize(x[worst])
+        if model.concentration_mode == "heterogeneous":
+            lams[j] = np.median(np.delete(lams, j))
         w[j] = max(w[j], 1.0 / n)
-        model = MixtureModel(tuple(comps), w / w.sum(), model.concentration_mode)
+        model = MixtureModel(mus, lams, w / w.sum(), model.concentration_mode)
         gamma, row_loglik = _posterior(x, model)
         gamma = _apply_assignment(gamma, assignment, rng)
         reseeds += 1
@@ -404,7 +410,8 @@ def information_criteria(report: EMReport, n_obs: int) -> dict:
     """AIC/AICc/BIC/HQIC of a fitted mixture on ``n_obs`` observations.
 
     AICc is ``None`` when the sample is too small (n_obs <= k* + 1) for its
-    correction term to be defined.
+    correction term to be defined, and HQIC is ``None`` at n_obs = 1, where
+    log log n_obs is undefined.
     """
     if n_obs < 1:
         raise ValueError("n_obs must be positive")
@@ -413,7 +420,7 @@ def information_criteria(report: EMReport, n_obs: int) -> dict:
     aic = -2.0 * loglik + 2.0 * k_star
     aicc = aic + 2.0 * k_star * (k_star + 1) / (n_obs - k_star - 1) if n_obs > k_star + 1 else None
     bic = -2.0 * loglik + k_star * math.log(n_obs)
-    hqic = -2.0 * loglik + 2.0 * k_star * math.log(math.log(n_obs))
+    hqic = -2.0 * loglik + 2.0 * k_star * math.log(math.log(n_obs)) if n_obs > 1 else None
     return {"aic": aic, "aicc": aicc, "bic": bic, "hqic": hqic}
 
 
@@ -430,5 +437,5 @@ def sample_mixture(model: MixtureModel, n: int, rng) -> tuple:
     for k in range(model.K):
         mask = comps == k
         if np.any(mask):
-            out[mask] = sn_sample(model.components[k], int(mask.sum()), rng)
+            out[mask] = _sample(model.mus[k], float(model.lams[k]), int(mask.sum()), rng)
     return out, comps + 1

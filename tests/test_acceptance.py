@@ -246,7 +246,7 @@ def test_criterion_09_kmeans_limit():
         p = int(rng.integers(1, 6))
         mus = unitize(rng.standard_normal((k, p + 1)))
         weights = rng.dirichlet(np.full(k, 3.0))
-        model = MixtureModel(tuple(SNParams(m, 1e6) for m in mus), weights, "homogeneous")
+        model = MixtureModel(mus, np.full(k, 1e6), weights, "homogeneous")
         x = unitize(rng.standard_normal((250, p + 1)))
         gamma = e_step(x, model)
         nearest = np.argmin(geodesic_distance(x[:, None, :], mus[None]), axis=1)

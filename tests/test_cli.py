@@ -51,6 +51,19 @@ class TestFit:
         assert doc["mu"] == list(ref.params.mu.coords) and doc["lambda"] == ref.params.lam
         assert (doc["iterations_mu"], doc["iterations_lambda"]) == (ref.iterations_mu, ref.iterations_lambda)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--eps", "nan"], ["fit", "--eps", "inf"], ["cluster", "-K", 2, "--eps", "nan"],
+         ["cluster", "-K", 2, "--eps-gamma", "nan"]],
+        ids=["fit_eps", "fit_eps_inf", "cluster_eps", "cluster_eps_gamma"],
+    )
+    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, argv):
+        # a NaN tolerance never stops a solver, so it is refused before any fit runs
+        data = tmp_path / "pts.csv"
+        dataio.save_points(data, sample(SNParams(np.array([0.0, 0.0, 1.0]), 10.0), 30, 0))
+        assert run(argv[:1] + ["--input", data] + argv[1:]) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+
     def test_normalize_flag(self, tmp_path, capsys):
         data = tmp_path / "raw.csv"
         data.write_text("3,4,0\n6,8,0\n0,5,1\n1,2,3\n")
@@ -109,8 +122,8 @@ class TestCluster:
         run(["fit", "--input", data])
         fit_doc = json.loads(capsys.readouterr().out)
         model = dataio.load_model(f"{prefix}.model.json")
-        assert np.allclose(model.components[0].mu.coords, fit_doc["mu"], atol=1e-8)
-        assert model.components[0].lam == pytest.approx(fit_doc["lambda"], abs=1e-8)
+        assert np.allclose(model.mus[0], fit_doc["mu"], atol=1e-8)
+        assert model.lams[0] == pytest.approx(fit_doc["lambda"], abs=1e-8)
 
     def test_hard_labels_are_argmax(self, tmp_path, small_mix_file):
         data, _ = small_mix_file
@@ -175,8 +188,13 @@ class TestSample:
             {"p": 2, "K": 1, "components": [{"mu": [0.0, 0.0, 1.0]}], "weights": [1.0]},
             {"p": 2, "K": 1, "components": 5, "weights": [1.0]},
             [{"mu": [0.0, 0.0, 1.0], "lambda": 5.0}],
+            {"p": 2, "K": 1, "components": [{"mu": [0.0, 0.0, 2.0], "lambda": 5.0}],
+             "weights": [1.0]},
+            {"p": 2, "K": 2, "weights": [0.5, 0.5],
+             "components": [{"mu": [0.0, 0.0, 1.0], "lambda": 5.0}, {"mu": [0.0, 1.0], "lambda": 5.0}]},
         ],
-        ids=["no_components", "no_lambda", "components_not_a_list", "top_level_list"],
+        ids=["no_components", "no_lambda", "components_not_a_list", "top_level_list",
+             "location_not_unit", "ragged_locations"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, doc):
         model_path = tmp_path / "model.json"

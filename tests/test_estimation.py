@@ -288,7 +288,7 @@ class TestFitSN:
         lam0 = 3 / (2.0 * (0.5 * float(d2.mean())))
 
         def loglik(mu, lam):
-            model = MixtureModel((SNParams(mu, lam),), np.array([1.0]))
+            model = MixtureModel([mu], [lam], [1.0])
             return log_likelihood(pts, model)
 
         assert loglik(res.params.mu.coords, res.params.lam) >= loglik(mu0, lam0)

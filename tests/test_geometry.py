@@ -5,14 +5,10 @@ import pytest
 
 from snmix.geometry import (
     SpherePoint,
-    TangentVector,
     batch_exp,
     batch_log,
     batch_project,
-    exp_map,
     geodesic_distance,
-    log_map,
-    project_to_tangent,
     unitize,
 )
 
@@ -48,15 +44,26 @@ class TestSpherePoint:
         with pytest.raises(ValueError):
             x.coords[0] = 0.5
 
+    def test_reads_as_array(self):
+        x = SpherePoint(E1)
+        # the batch functions read a point through np.asarray without a copy,
+        # while np.array hands out a writable copy of the coordinates
+        assert np.asarray(x, dtype=float) is x.coords
+        copy = np.array(x)
+        assert copy.flags.writeable and not np.shares_memory(copy, x.coords)
+        np.testing.assert_array_equal(copy, E1)
 
-class TestTangentVector:
-    def test_accepts_orthogonal(self):
-        u = TangentVector(SpherePoint(E1), 2.5 * E2)
-        assert u.norm == pytest.approx(2.5)
-
-    def test_rejects_non_tangent(self):
-        with pytest.raises(ValueError):
-            TangentVector(SpherePoint(E1), E1 + E2)
+    def test_array_protocol_without_copy_argument(self):
+        # NumPy 1.x calls __array__ with no ``copy`` argument and NumPy 2 with
+        # ``copy=None`` for np.asarray; both must hand back the coordinates
+        x = SpherePoint(E1)
+        assert x.__array__() is x.coords
+        assert x.__array__(None, None) is x.coords
+        copied = x.__array__(copy=True)
+        assert copied.flags.writeable and not np.shares_memory(copied, x.coords)
+        single = x.__array__(np.float32)
+        assert single.dtype == np.float32
+        np.testing.assert_array_equal(single, E1)
 
 
 class TestGeodesicDistance:
@@ -81,15 +88,17 @@ class TestGeodesicDistance:
 
 class TestProjection:
     def test_base_point_projects_to_zero(self):
-        np.testing.assert_array_equal(project_to_tangent(SpherePoint(E1), E1).vec, np.zeros(3))
+        np.testing.assert_array_equal(batch_project(E1, E1), np.zeros(3))
 
     def test_already_tangent(self):
-        np.testing.assert_allclose(project_to_tangent(SpherePoint(E1), E2).vec, E2, atol=1e-15)
+        np.testing.assert_allclose(batch_project(E1, E2), E2, atol=1e-15)
 
     def test_mixed_vector(self):
-        np.testing.assert_allclose(
-            project_to_tangent(SpherePoint(E1), E1 + E2).vec, E2, atol=1e-15
-        )
+        np.testing.assert_allclose(batch_project(E1, E1 + E2), E2, atol=1e-15)
+
+    def test_batch_of_bases(self):
+        bases = np.array([E1, E2])
+        np.testing.assert_array_equal(batch_project(bases, E1 + E2), [E2, E1])
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
@@ -101,25 +110,22 @@ class TestProjection:
 
 class TestExpMap:
     def test_zero_vector(self):
-        x = SpherePoint(E1)
-        np.testing.assert_array_equal(exp_map(TangentVector(x, np.zeros(3))).coords, E1)
+        # the zero tangent vector maps back to the base exactly
+        np.testing.assert_array_equal(batch_exp(E1, np.zeros(3)), E1)
 
     def test_quarter_turn(self):
-        out = exp_map(TangentVector(SpherePoint(E1), (np.pi / 2) * E2))
-        np.testing.assert_allclose(out.coords, E2, atol=1e-15)
+        np.testing.assert_allclose(batch_exp(E1, (np.pi / 2) * E2), E2, atol=1e-15)
 
     def test_half_turn(self):
-        out = exp_map(TangentVector(SpherePoint(E1), np.pi * E2))
-        np.testing.assert_allclose(out.coords, -E1, atol=1e-15)
+        np.testing.assert_allclose(batch_exp(E1, np.pi * E2), -E1, atol=1e-15)
 
 
 class TestLogMap:
     def test_coincident_points(self):
-        np.testing.assert_array_equal(log_map(SpherePoint(E1), SpherePoint(E1)).vec, np.zeros(3))
+        np.testing.assert_array_equal(batch_log(E1, E1), np.zeros(3))
 
     def test_quarter_turn(self):
-        u = log_map(SpherePoint(E1), SpherePoint(E2))
-        np.testing.assert_allclose(u.vec, (np.pi / 2) * E2, atol=1e-15)
+        np.testing.assert_allclose(batch_log(E1, E2), (np.pi / 2) * E2, atol=1e-15)
 
     def test_norm_equals_distance(self):
         rng = np.random.default_rng(1)
@@ -130,7 +136,14 @@ class TestLogMap:
 
     def test_cut_locus_rejected(self):
         with pytest.raises(ValueError, match="cut locus"):
-            log_map(SpherePoint(E1), SpherePoint(-E1))
+            batch_log(E1, -E1)
+        # one antipodal pair rejects the whole batch
+        with pytest.raises(ValueError, match="cut locus"):
+            batch_log(np.array([E1, E1]), np.array([E2, -E1]))
+
+    def test_accepts_sphere_points(self):
+        # a SpherePoint reads as its coordinate array
+        np.testing.assert_array_equal(batch_log(SpherePoint(E1), SpherePoint(E2)), batch_log(E1, E2))
 
 
 class TestInvariants:

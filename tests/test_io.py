@@ -79,21 +79,32 @@ class TestRoundTrips:
         np.testing.assert_array_equal(dataio.load_labels(path), labels)
 
     def test_model_round_trip_exact(self, tmp_path):
-        model = MixtureModel(
-            (
-                SNParams(unitize(np.array([0.3, -1.2, 0.4])), 17.25),
-                SNParams(unitize(np.array([1.0, 0.1, -2.0])), 3.0),
-            ),
-            np.array([0.375, 0.625]),
-        )
+        # locations are stored as given, so save/load keeps every bit of them
+        rng = np.random.default_rng(17)
         path = tmp_path / "model.json"
-        dataio.save_model(path, model)
-        back = dataio.load_model(path)
-        assert np.array_equal(back.weights, model.weights)
-        for a, b in zip(back.components, model.components):
-            assert np.array_equal(a.mu.coords, b.mu.coords)
-            assert a.lam == b.lam
-        assert back.concentration_mode == model.concentration_mode
+        for i in range(200):
+            mode = ("heterogeneous", "homogeneous")[i % 2]
+            lams = rng.uniform(0.1, 500.0, 3)
+            model = MixtureModel(
+                unitize(rng.standard_normal((3, 4))),
+                lams if mode == "heterogeneous" else np.full(3, lams[0]),
+                rng.dirichlet(np.ones(3)),
+                mode,
+            )
+            dataio.save_model(path, model)
+            back = dataio.load_model(path)
+            assert np.array_equal(back.mus, model.mus)
+            assert np.array_equal(back.lams, model.lams)
+            assert np.array_equal(back.weights, model.weights)
+            assert back.concentration_mode == model.concentration_mode
+
+    def test_model_location_must_be_unit(self, tmp_path):
+        doc = MixtureModel([[0.0, 0.6, 0.8]], [3.0], [1.0]).to_dict()
+        doc["components"][0]["mu"] = [0.0, 0.6, 0.8 + 2e-6]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="model locations: .*unit vectors"):
+            dataio.load_model(path)
 
     def test_json_files_are_indented_with_trailing_newline(self, tmp_path):
         doc = {"a": [1.5, 2], "b": {"c": None, "d": True}}

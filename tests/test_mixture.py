@@ -9,7 +9,14 @@ from scipy.special import logsumexp
 
 from snmix import simulate
 from snmix.distribution import SNParams, sample
-from snmix.estimation import MAX_DISPERSION, concentration_mle, fit_sn, weighted_frechet_mean
+from snmix.estimation import (
+    MAX_DISPERSION,
+    ConcentrationConfig,
+    FrechetConfig,
+    concentration_mle,
+    fit_sn,
+    weighted_frechet_mean,
+)
 from snmix.geometry import SpherePoint, batch_exp, batch_project, geodesic_distance, unitize
 from snmix.metrics import kmeans
 from snmix.mixture import (
@@ -32,13 +39,7 @@ from snmix.mixture import (
 
 
 def two_component_model(lam1=5.0, lam2=5.0, w1=0.5, mode="heterogeneous"):
-    mu1 = np.array([1.0, 0.0, 0.0])
-    mu2 = np.array([0.0, 1.0, 0.0])
-    return MixtureModel(
-        (SNParams(mu1, lam1), SNParams(mu2, lam2)),
-        np.array([w1, 1.0 - w1]),
-        mode,
-    )
+    return MixtureModel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [lam1, lam2], [w1, 1.0 - w1], mode)
 
 
 def separated_sample(rng, dims, lams, counts):
@@ -56,7 +57,7 @@ class TestMixtureModel:
     def test_validates_weights(self):
         for weights in ([0.7, 0.7], [np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
             with pytest.raises(ValueError, match="finite, non-negative and sum to 1"):
-                MixtureModel(two_component_model().components, np.array(weights))
+                MixtureModel(np.eye(3)[:2], [5.0, 5.0], np.array(weights))
 
     def test_homogeneous_requires_equal_concentrations(self):
         with pytest.raises(ValueError):
@@ -67,14 +68,62 @@ class TestMixtureModel:
         doc = json.loads(json.dumps(model.to_dict()))
         back = MixtureModel.from_dict(doc)
         assert np.array_equal(back.weights, model.weights)
-        for a, b in zip(back.components, model.components):
-            assert np.array_equal(a.mu.coords, b.mu.coords)
-            assert a.lam == b.lam
+        assert np.array_equal(back.mus, model.mus)
+        assert np.array_equal(back.lams, model.lams)
+
+    def test_stores_arrays_read_only(self):
+        model = two_component_model(lam1=3.0, lam2=8.0, w1=0.25)
+        assert (model.K, model.p) == (2, 2)
+        assert model.mus.shape == (2, 3) and model.lams.shape == (2,)
+        for a in (model.mus, model.lams, model.weights):
+            assert a.dtype == float and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    def test_keeps_caller_arrays_apart(self):
+        mus, lams = np.eye(3)[:2].copy(), np.array([3.0, 8.0])
+        model = MixtureModel(mus, lams, [0.5, 0.5])
+        mus[0], lams[0] = mus[1], 1.0
+        np.testing.assert_array_equal(model.mus, np.eye(3)[:2])
+        np.testing.assert_array_equal(model.lams, [3.0, 8.0])
+
+    def test_locations_stored_as_given(self):
+        # a unit row within the tolerance is kept bit for bit, not normalized again
+        mus = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0 + 1e-9]])
+        model = MixtureModel(mus, [2.0, 3.0], [0.5, 0.5])
+        assert np.array_equal(model.mus, mus)
+
+    @pytest.mark.parametrize(
+        "mus, match",
+        [
+            ([[0.0, 0.0, 2.0]], "unit vectors"),
+            ([[0.0, np.nan, 1.0]], "finite"),
+            ([0.0, 0.0, 1.0], r"\(n, p\+1\) array"),
+            ([[1.0]], r"\(n, p\+1\) array"),
+        ],
+        ids=["not_unit", "nan", "one_dimensional", "zero_sphere"],
+    )
+    def test_validates_locations(self, mus, match):
+        with pytest.raises(ValueError, match=match):
+            MixtureModel(mus, [5.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "lams",
+        [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 1.0], [np.nextafter(1e8, np.inf), 1.0]],
+        ids=["nan", "inf", "negative", "above_lambda_max"],
+    )
+    def test_validates_concentrations(self, lams):
+        with pytest.raises(ValueError, match=r"concentration must be in \[0, 1e\+08\]"):
+            MixtureModel(np.eye(3)[:2], lams, [0.5, 0.5])
+
+    def test_concentrations_match_components(self):
+        with pytest.raises(ValueError, match="concentrations must match"):
+            MixtureModel(np.eye(3)[:2], [1.0, 2.0, 3.0], [0.5, 0.5])
 
 
 class TestEStep:
     def test_single_component(self):
-        model = MixtureModel((SNParams(np.array([0.0, 0.0, 1.0]), 4.0),), np.array([1.0]))
+        model = MixtureModel([[0.0, 0.0, 1.0]], [4.0], [1.0])
         x = unitize(np.random.default_rng(0).standard_normal((25, 3)))
         np.testing.assert_array_equal(e_step(x, model), np.ones((25, 1)))
 
@@ -106,12 +155,7 @@ class TestPosterior:
         [
             two_component_model(lam1=2.0, lam2=30.0, w1=0.3),
             MixtureModel(
-                (
-                    SNParams(np.array([1.0, 0.0, 0.0]), 5.0),
-                    SNParams(np.array([0.0, 0.0, 1.0]), 8.0),
-                    SNParams(np.array([0.0, 1.0, 0.0]), 3.0),
-                ),
-                np.array([0.6, 0.0, 0.4]),
+                [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [5.0, 8.0, 3.0], [0.6, 0.0, 0.4]
             ),
             two_component_model(lam1=1e6, lam2=1e6, mode="homogeneous"),
         ],
@@ -185,8 +229,8 @@ class TestMStep:
         pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 12.0), 80, 5)
         model = m_step(pts, np.ones((80, 1)))
         ref = fit_sn(pts)
-        np.testing.assert_array_equal(model.components[0].mu.coords, ref.params.mu.coords)
-        assert model.components[0].lam == pytest.approx(ref.params.lam, abs=1e-10)
+        np.testing.assert_array_equal(model.mus[0], ref.params.mu.coords)
+        assert model.lams[0] == pytest.approx(ref.params.lam, abs=1e-10)
         assert model.weights[0] == 1.0
 
     def test_hard_gamma_uses_members_only(self):
@@ -198,9 +242,7 @@ class TestMStep:
         for k in (0, 1):
             members = pts[labels == k + 1]
             ref = fit_sn(members)
-            np.testing.assert_allclose(
-                model.components[k].mu.coords, ref.params.mu.coords, atol=1e-12
-            )
+            np.testing.assert_allclose(model.mus[k], ref.params.mu.coords, atol=1e-12)
         np.testing.assert_allclose(model.weights, [0.4, 0.6], atol=1e-15)
 
     def test_homogeneous_on_identical_clusters(self):
@@ -211,8 +253,8 @@ class TestMStep:
         gamma[120:, 1] = 1.0
         shared = m_step(doubled, gamma, concentration_mode="homogeneous")
         single = fit_sn(pts)
-        assert shared.components[0].lam == shared.components[1].lam
-        assert shared.components[0].lam == pytest.approx(single.params.lam, abs=1e-6)
+        assert shared.lams[0] == shared.lams[1]
+        assert shared.lams[0] == pytest.approx(single.params.lam, abs=1e-6)
 
     def test_empty_column_rejected(self):
         pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 5.0), 30, 2)
@@ -244,16 +286,15 @@ class TestLogLikelihood:
 
         pts = sample(SNParams(np.array([0.0, 1.0, 0.0]), 6.0), 50, 11)
         params = SNParams(np.array([0.0, 1.0, 0.0]), 6.0)
-        model = MixtureModel((params,), np.array([1.0]))
+        model = MixtureModel([params.mu.coords], [params.lam], [1.0])
         assert log_likelihood(pts, model) == pytest.approx(
             float(np.sum(log_density(pts, params))), abs=1e-10
         )
 
     def test_duplicated_component_invariance(self):
         pts = unitize(np.random.default_rng(1).standard_normal((40, 3)))
-        base = SNParams(np.array([0.0, 0.0, 1.0]), 4.0)
-        one = MixtureModel((base,), np.array([1.0]))
-        split = MixtureModel((base, base), np.array([0.5, 0.5]))
+        one = MixtureModel([[0.0, 0.0, 1.0]], [4.0], [1.0])
+        split = MixtureModel([[0.0, 0.0, 1.0]] * 2, [4.0, 4.0], [0.5, 0.5])
         assert log_likelihood(pts, one) == pytest.approx(log_likelihood(pts, split), abs=1e-10)
 
 
@@ -263,8 +304,8 @@ class TestFitEM:
         report = fit_em(pts, EMConfig(K=1, seed=0))
         ref = fit_sn(pts)
         # bit for bit: the first M-step is fit_sn's solve and gamma stays all ones
-        np.testing.assert_array_equal(report.model.components[0].mu.coords, ref.params.mu.coords)
-        assert report.model.components[0].lam == ref.params.lam
+        np.testing.assert_array_equal(report.model.mus[0], ref.params.mu.coords)
+        assert report.model.lams[0] == ref.params.lam
         assert report.iterations == 1 and report.converged
 
     def test_recovers_separated_clusters(self):
@@ -335,16 +376,13 @@ class TestFitEM:
         cfg = EMConfig(K=2, seed=6)
         init = _init_from_kmeans(pts, cfg, np.random.SeedSequence(cfg.seed).spawn(2)[0])
         flipped = MixtureModel(
-            tuple(reversed(init.components)),
-            init.weights[::-1].copy(),
-            init.concentration_mode,
+            init.mus[::-1], init.lams[::-1], init.weights[::-1], init.concentration_mode
         )
         a = fit_em(pts, cfg, init_model=init)
         b = fit_em(pts, cfg, init_model=flipped)
         np.testing.assert_array_equal(a.gamma, b.gamma[:, ::-1])
         np.testing.assert_array_equal(a.model.weights, b.model.weights[::-1])
-        for ca, cb in zip(a.model.components, reversed(b.model.components)):
-            assert np.array_equal(ca.mu.coords, cb.mu.coords)
+        np.testing.assert_array_equal(a.model.mus, b.model.mus[::-1])
 
     def test_kmeans_limit_matches_nearest_center(self):
         rng = np.random.default_rng(39)
@@ -353,9 +391,7 @@ class TestFitEM:
             p = int(rng.integers(1, 6))
             mus = unitize(rng.standard_normal((k, p + 1)))
             weights = rng.dirichlet(np.full(k, 3.0))
-            model = MixtureModel(
-                tuple(SNParams(m, 1e6) for m in mus), weights, "homogeneous"
-            )
+            model = MixtureModel(mus, np.full(k, 1e6), weights, "homogeneous")
             x = unitize(rng.standard_normal((200, p + 1)))
             gamma = e_step(x, model)
             nearest = np.argmin(geodesic_distance(x[:, None, :], mus[None]), axis=1)
@@ -414,11 +450,8 @@ class TestFitEM:
         # a far-away initial component gets no mass and must be recovered
         rng = np.random.default_rng(43)
         pts, _, mus = separated_sample(rng, 2, (40.0, 40.0), (60, 60))
-        dead = SNParams(unitize(-(mus[0] + mus[1])), 1e6)
-        init = MixtureModel(
-            (SNParams(mus[0], 40.0), SNParams(mus[1], 40.0), dead),
-            np.array([0.45, 0.45, 0.10]),
-        )
+        dead = unitize(-(mus[0] + mus[1]))
+        init = MixtureModel([mus[0], mus[1], dead], [40.0, 40.0, 1e6], [0.45, 0.45, 0.10])
         report = fit_em(pts, EMConfig(K=3, seed=0), init_model=init)
         assert report.reseeds >= 1
         assert np.all(report.gamma.sum(axis=0) > 0.0)
@@ -463,8 +496,8 @@ class TestInitFromKmeans:
         model = _init_from_kmeans(x, cfg, seed)
         mus, lams, weights = per_cluster_init(x, cfg, seed)
         np.testing.assert_array_equal(model.weights, weights)
-        np.testing.assert_allclose(model.locations(), mus, rtol=0.0, atol=1e-11)
-        np.testing.assert_allclose(model.concentrations(), lams, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(model.mus, mus, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(model.lams, lams, rtol=1e-10, atol=0.0)
         assert model.concentration_mode == cfg.concentration_mode
 
     @pytest.mark.parametrize("mode", ["heterogeneous", "homogeneous"])
@@ -485,7 +518,7 @@ class TestInitFromKmeans:
         cfg = EMConfig(K=1)
         self.assert_matches_reference(x, cfg)
         model = _init_from_kmeans(x, cfg, np.random.SeedSequence(0).spawn(2)[0])
-        np.testing.assert_array_equal(model.locations()[0], x[0])
+        np.testing.assert_array_equal(model.mus[0], x[0])
 
 
 @pytest.mark.parametrize(
@@ -506,20 +539,42 @@ def test_non_finite_row_rejected(call):
         call(x)
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: FrechetConfig(epsilon=math.nan), "epsilon must be finite"),
+        (lambda: FrechetConfig(epsilon=math.inf), "epsilon must be finite"),
+        (lambda: FrechetConfig(max_iter=2.5), "max_iter must be a positive integer"),
+        (lambda: ConcentrationConfig(epsilon=math.nan), "epsilon must be finite"),
+        (lambda: ConcentrationConfig(max_iter=100.0), "max_iter must be a positive integer"),
+        (lambda: EMConfig(K=2, epsilon_gamma=math.nan), "epsilon_gamma must be finite"),
+        (lambda: EMConfig(K=2.5), "K must be a positive integer"),
+        (lambda: EMConfig(K=2, max_iter=2.5), "max_iter must be a positive integer"),
+    ],
+    ids=["frechet_nan", "frechet_inf", "frechet_max_iter", "conc_nan", "conc_max_iter",
+         "em_nan", "em_k", "em_max_iter"],
+)
+def test_config_rejects_bad_values(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_config_accepts_numpy_integers():
+    cfg = EMConfig(K=np.int64(2), max_iter=np.int32(3), frechet=FrechetConfig(max_iter=np.int64(9)))
+    assert (cfg.K, cfg.max_iter, cfg.frechet.max_iter) == (2, 3, 9)
+
+
 class TestInformationCriteria:
     def make_report(self, model, loglik):
         gamma = np.ones((10, model.K)) / model.K
         return EMReport(model, gamma, (loglik,), 1, True)
 
     def test_heterogeneous_parameter_count(self):
-        model = MixtureModel(
-            tuple(SNParams(m, 5.0) for m in np.eye(3)),
-            np.array([0.3, 0.3, 0.4]),
-        )
+        model = MixtureModel(np.eye(3), np.full(3, 5.0), [0.3, 0.3, 0.4])
         assert parameter_count(model) == 11  # (p + 2) K - 1 at p=2, K=3
 
     def test_k1_criteria_values(self):
-        model = MixtureModel((SNParams(np.array([0.0, 0.0, 1.0]), 5.0),), np.array([1.0]))
+        model = MixtureModel([[0.0, 0.0, 1.0]], [5.0], [1.0])
         assert parameter_count(model) == 3
         crit = information_criteria(self.make_report(model, -100.0), 50)
         assert crit["aic"] == pytest.approx(206.0)
@@ -528,16 +583,20 @@ class TestInformationCriteria:
         assert crit["aicc"] == pytest.approx(206.0 + 2 * 3 * 4 / (50 - 4))
 
     def test_homogeneous_parameter_count(self):
-        model = MixtureModel(
-            tuple(SNParams(m, 5.0) for m in np.eye(3)),
-            np.array([0.3, 0.3, 0.4]),
-            "homogeneous",
-        )
+        model = MixtureModel(np.eye(3), np.full(3, 5.0), [0.3, 0.3, 0.4], "homogeneous")
         assert parameter_count(model) == 9  # (p + 1) K at p=2, K=3
 
     def test_aicc_undefined_for_tiny_samples(self):
-        model = MixtureModel((SNParams(np.array([0.0, 0.0, 1.0]), 5.0),), np.array([1.0]))
+        model = MixtureModel([[0.0, 0.0, 1.0]], [5.0], [1.0])
         assert information_criteria(self.make_report(model, -5.0), 4)["aicc"] is None
+
+    def test_hqic_undefined_for_one_observation(self):
+        # log log 1 is undefined; the other criteria stay finite
+        model = MixtureModel([[0.0, 0.0, 1.0]], [5.0], [1.0])
+        crit = information_criteria(self.make_report(model, -5.0), 1)
+        assert crit["hqic"] is None and crit["aicc"] is None
+        assert crit["aic"] == pytest.approx(16.0) and crit["bic"] == pytest.approx(10.0)
+        assert information_criteria(self.make_report(model, -5.0), 2)["hqic"] is not None
 
 
 class TestSampleMixture:
@@ -545,7 +604,7 @@ class TestSampleMixture:
         model = two_component_model(w1=1.0)
         pts, labels = sample_mixture(model, 200, 3)
         assert np.all(labels == 1)
-        assert np.max(geodesic_distance(pts, model.components[0].mu)) < math.pi
+        assert np.max(geodesic_distance(pts, model.mus[0])) < math.pi
 
     def test_label_proportions(self):
         model = two_component_model(lam1=50.0, lam2=50.0, w1=0.25)

@@ -33,7 +33,11 @@ def test_module_exports_resolve(module_name):
 
 # names removed from the API; each is gone, not kept as an alias
 REMOVED = {
+    "snmix": ["TangentVector", "project_to_tangent", "exp_map", "log_map"],
     "snmix.distribution": ["_stencil_log_partition", "_STENCIL_OFFSETS"],
+    "snmix.geometry": [
+        "TangentVector", "project_to_tangent", "exp_map", "log_map", "TANGENCY_TOL", "_coords",
+    ],
 }
 
 
@@ -41,6 +45,17 @@ REMOVED = {
 def test_removed_names_stay_removed(module_name):
     module = importlib.import_module(module_name)
     assert [name for name in REMOVED[module_name] if hasattr(module, name)] == []
+
+
+def test_mixture_model_component_api_removed():
+    # a model stores the arrays mus, lams and weights; the per-component view is gone
+    from snmix import MixtureModel
+
+    model = MixtureModel([[0.0, 0.0, 1.0]], [5.0], [1.0])
+    assert [name for name in ("components", "locations", "concentrations")
+            if hasattr(model, name)] == []
+    assert [f.name for f in dataclasses.fields(MixtureModel)] == [
+        "mus", "lams", "weights", "concentration_mode"]
 
 
 def test_finite_difference_step_removed():
