@@ -46,13 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="maximum likelihood fit of one component")
     add_io(fit)
     fit.add_argument("--step-rule", choices=["fixed", "line-search"], default="fixed")
-    fit.add_argument(
-        "--alpha",
-        type=float,
-        default=FrechetConfig.alpha,
-        help="step size of the fixed step rule only, in (0, 1] "
-        "(default: %(default)s, the 1/L step); the line search ignores it",
-    )
     fit.add_argument("--method", choices=["newton", "halley"], default="newton")
     fit.add_argument("--eps", type=float, default=1e-8, help="stopping tolerance")
     fit.add_argument("--max-iter", type=int, default=500)
@@ -107,16 +100,13 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _cmd_fit(args) -> int:
-    dataset = dataio.load_csv(args.input, normalize=args.normalize, has_header=args.has_header)
+    x = dataio.load_csv(args.input, normalize=args.normalize, has_header=args.has_header)
     frechet_cfg = FrechetConfig(
-        step_rule=args.step_rule.replace("-", "_"),
-        alpha=args.alpha,
-        epsilon=args.eps,
-        max_iter=args.max_iter,
+        step_rule=args.step_rule.replace("-", "_"), epsilon=args.eps, max_iter=args.max_iter
     )
     conc_cfg = ConcentrationConfig(method=args.method, epsilon=args.eps)
     t0 = time.perf_counter()
-    result = fit_sn(dataset.points, frechet_cfg=frechet_cfg, conc_cfg=conc_cfg)
+    result = fit_sn(x, frechet_cfg=frechet_cfg, conc_cfg=conc_cfg)
     elapsed = time.perf_counter() - t0
     doc = {
         "mu": [float(v) for v in result.params.mu.coords],
@@ -126,8 +116,8 @@ def _cmd_fit(args) -> int:
         "iterations_lambda": result.iterations_lambda,
         "converged": result.converged,
         "support_ok": result.support_ok,
-        "n": dataset.n,
-        "p": dataset.p,
+        "n": len(x),
+        "p": x.shape[1] - 1,
         "timing_seconds": elapsed,
     }
     print(json.dumps(doc, indent=2))
@@ -137,16 +127,16 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    dataset = dataio.load_csv(args.input, normalize=args.normalize, has_header=args.has_header)
+    x = dataio.load_csv(args.input, normalize=args.normalize, has_header=args.has_header)
     t0 = time.perf_counter()
     if args.algorithm in ("kmeans", "spkmeans"):
         cluster_fn = kmeans if args.algorithm == "kmeans" else spherical_kmeans
-        labels = cluster_fn(dataset.points, args.K, seed=args.seed)
+        labels = cluster_fn(x, args.K, seed=args.seed)
         elapsed = time.perf_counter() - t0
-        print(f"{args.algorithm}: K={args.K} labels for {dataset.n} observations")
+        print(f"{args.algorithm}: K={args.K} labels for {len(x)} observations")
         if args.output:
             dataio.save_labels(f"{args.output}.labels.txt", labels)
-            doc = {"algorithm": args.algorithm, "K": args.K, "seed": args.seed, "n": dataset.n,
+            doc = {"algorithm": args.algorithm, "K": args.K, "seed": args.seed, "n": len(x),
                    "timing_seconds": elapsed}
             dataio._write_json(f"{args.output}.report.json", doc)
         return 0
@@ -162,10 +152,10 @@ def _cmd_cluster(args) -> int:
         frechet=FrechetConfig(epsilon=args.eps),
         concentration=ConcentrationConfig(epsilon=args.eps),
     )
-    report = fit_em(dataset.points, cfg)
+    report = fit_em(x, cfg)
     elapsed = time.perf_counter() - t0
     labels = np.argmax(report.gamma, axis=1) + 1
-    criteria = information_criteria(report, dataset.n)
+    criteria = information_criteria(report, len(x))
     print(
         f"sn-{assignment}: K={args.K} loglik={report.loglik_trace[-1]:.6f} "
         f"iterations={report.iterations} converged={report.converged}"
@@ -178,7 +168,7 @@ def _cmd_cluster(args) -> int:
             report,
             timing_seconds=elapsed,
             criteria=criteria,
-            extra={"algorithm": f"sn-{assignment}", "seed": args.seed, "n": dataset.n},
+            extra={"algorithm": f"sn-{assignment}", "seed": args.seed, "n": len(x)},
         )
     return 0
 

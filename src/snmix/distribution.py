@@ -129,14 +129,7 @@ def _log_partition_many(p: int, lams, order: int = DEFAULT_QUAD_ORDER) -> np.nda
     """
     p = _validate_dim(p)
     lams = np.asarray(lams, dtype=float)
-    if not np.isfinite(lams).all() or (lams < 0.0).any():
-        raise ValueError("concentration must be finite and non-negative")
-    return _log_partition_nodes(p, lams, order)
-
-
-def _log_partition_nodes(p: int, lams: np.ndarray, order: int) -> np.ndarray:
-    """:func:`_log_partition_many` without its input checks, for callers whose
-    ``p`` is a valid dimension and whose ``lams`` are finite, non-negative floats."""
+    _check_lams(lams)
     _, mass, peak = _radial_nodes(p, lams, order)
     return _log_sphere_area(p) + peak + np.log(mass.sum(axis=1))
 
@@ -156,15 +149,15 @@ def _radial_nodes(p: int, lams: np.ndarray, order: int):
     return r, 0.5 * upper * w * np.exp(log_f - peak[:, None]), peak
 
 
-def _radial_moments(p: int, lams: np.ndarray, order: int = DEFAULT_QUAD_ORDER):
+def _radial_moments(p: int, lams: np.ndarray):
     """Mean, variance and third central moment of r^2 under the radial law at every
-    entry of ``lams``, from one pass over the nodes of :func:`_log_partition_nodes`.
+    entry of ``lams``, from one pass over the nodes of :func:`log_partition`.
 
     These are the exact derivatives of lam -> log_partition: the first is
     -mean / 2, the second variance / 4 and the third -moment_3 / 8. Inputs are
-    not checked again (see :func:`_log_partition_nodes`).
+    not checked: ``p`` must be a valid dimension and ``lams`` valid concentrations.
     """
-    r, mass, _ = _radial_nodes(p, lams, order)
+    r, mass, _ = _radial_nodes(p, lams, DEFAULT_QUAD_ORDER)
     total = mass.sum(axis=1)
     r2 = r * r
     mean = (mass * r2).sum(axis=1) / total
@@ -173,15 +166,13 @@ def _radial_moments(p: int, lams: np.ndarray, order: int = DEFAULT_QUAD_ORDER):
     return mean, sq.sum(axis=1) / total, (sq * dev).sum(axis=1) / total
 
 
-def log_density(x, params: SNParams, order: int = DEFAULT_QUAD_ORDER):
+def log_density(x, params: SNParams):
     """Log density at ``x`` (a single point or a batch of row vectors)."""
     d = geodesic_distance(x, params.mu)
-    return -0.5 * params.lam * np.square(d) - log_partition(params.p, params.lam, order)
+    return -0.5 * params.lam * np.square(d) - log_partition(params.p, params.lam)
 
 
-def grad_log_partition(
-    p: int, lam: float, order: int = 1, quad_order: int = DEFAULT_QUAD_ORDER
-) -> float:
+def grad_log_partition(p: int, lam: float, order: int = 1) -> float:
     """Exact derivative of lam -> log_partition(p, lam) of the given ``order``.
 
     Under the radial law the derivatives are moments of r^2, the squared
@@ -192,23 +183,22 @@ def grad_log_partition(
     """
     p = _validate_dim(p)
     lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError("concentration must be finite and non-negative")
+    _check_lams(lam)
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2, or 3")
-    moment = _radial_moments(p, np.array([lam]), quad_order)[order - 1][0]
+    moment = _radial_moments(p, np.array([lam]))[order - 1][0]
     return float((-0.5, 0.25, -0.125)[order - 1] * moment)
 
 
 @lru_cache(maxsize=64)
-def _radial_cdf(p: int, lam: float, cells: int = CDF_CELLS):
+def _radial_cdf(p: int, lam: float):
     """Tabulated CDF of the radial law, density prop. to exp(-lam r^2/2) sin^(p-1) r.
 
     Built once per (p, lam) on a uniform grid by trapezoidal accumulation;
     the returned arrays are immutable and shared across callers.
     """
     upper = _radial_cutoff(p, lam)
-    grid = np.linspace(0.0, upper, cells + 1)
+    grid = np.linspace(0.0, upper, CDF_CELLS + 1)
     with np.errstate(divide="ignore"):
         log_f = _log_radial(p, lam, grid)
     dens = np.exp(log_f - np.max(log_f[np.isfinite(log_f)]))

@@ -27,14 +27,7 @@ from .distribution import (
     _validate_dim,
     log_partition,
 )
-from .geometry import (
-    CUT_LOCUS_TOL,
-    SpherePoint,
-    _distance_matrix,
-    _unit_rows,
-    batch_exp,
-    unitize,
-)
+from .geometry import CUT_LOCUS_TOL, SpherePoint, _angles, _unit_rows, batch_exp, unitize
 
 __all__ = [
     "MAX_DISPERSION",
@@ -52,6 +45,8 @@ MAX_DISPERSION = 0.5 * math.pi**2
 
 _ARMIJO_C = 1e-4
 _ARMIJO_MAX_HALVINGS = 30
+# Newton/Halley iteration cap of the concentration solve.
+_CONCENTRATION_MAX_ITER = 100
 # Largest first trial of the line search: bounds the Barzilai-Borwein step
 # where the curvature along the last step is nearly zero.
 _BB_MAX_STEP = 1e3
@@ -63,39 +58,36 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer")
 
 
-def _check_stop_rule(name: str, epsilon, max_iter) -> None:
+def _check_tolerance(name: str, epsilon) -> None:
     """Reject a tolerance ``name`` that is not finite and positive (a NaN one would
-    never stop the iteration) and an iteration budget that is not a positive integer."""
+    never stop the iteration)."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"{name} must be finite and positive")
-    _check_count("max_iter", max_iter)
 
 
 @dataclass(frozen=True)
 class FrechetConfig:
     """Settings for the weighted Frechet mean solver.
 
-    ``step_rule`` is either "fixed" (constant step ``alpha`` along the
-    negative gradient) or "line_search" (an Armijo backtracking search whose
-    first trial is the Barzilai-Borwein step, so ``alpha`` applies to the
-    fixed rule only). The default ``alpha = 0.5`` is the 1/L step: the
-    Hessian of 1/2 sum_n w_n d^2(x_n, mu) is at most the identity away from
-    the cut locus, so the update is mu <- Exp_mu(sum_n w_n Log_mu(x_n)), the
-    Karcher-mean iteration. Iterations stop when the gradient norm or the
-    iterate displacement falls below ``epsilon``.
+    ``step_rule`` is either "fixed" or "line_search". The fixed rule takes
+    the 1/L step: the Hessian of 1/2 sum_n w_n d^2(x_n, mu) is at most the
+    identity away from the cut locus, so the update is
+    mu <- Exp_mu(sum_n w_n Log_mu(x_n)), the Karcher-mean iteration. The line
+    search is an Armijo backtracking search whose first trial is the
+    Barzilai-Borwein step; where its halvings run out, it takes the Karcher
+    step. Iterations stop when the gradient norm or the iterate displacement
+    falls below ``epsilon``.
     """
 
     step_rule: str = "fixed"
-    alpha: float = 0.5
     epsilon: float = 1e-8
     max_iter: int = 500
 
     def __post_init__(self) -> None:
         if self.step_rule not in ("fixed", "line_search"):
             raise ValueError("step_rule must be 'fixed' or 'line_search'")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        _check_stop_rule("epsilon", self.epsilon, self.max_iter)
+        _check_tolerance("epsilon", self.epsilon)
+        _check_count("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -105,17 +97,16 @@ class ConcentrationConfig:
     ``method`` is "newton" (first and second derivative) or "halley" (first
     to third); the derivatives are exact quadrature moments, so there is no
     step size to set. Iterations stop once the update falls below
-    ``epsilon * max(1, lam)``.
+    ``epsilon * max(1, lam)``, or after 100 iterations.
     """
 
     method: str = "newton"
     epsilon: float = 1e-8
-    max_iter: int = 100
 
     def __post_init__(self) -> None:
         if self.method not in ("newton", "halley"):
             raise ValueError("method must be 'newton' or 'halley'")
-        _check_stop_rule("epsilon", self.epsilon, self.max_iter)
+        _check_tolerance("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -163,14 +154,7 @@ def _scale_columns(W: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 def _dispersions(points: np.ndarray, W: np.ndarray, mus: np.ndarray) -> np.ndarray:
     """Weighted dispersion 1/2 sum_n W[k, n] d^2(x_n, mus[k]) for every component row k."""
-    return 0.5 * (W * np.square(_distance_matrix(mus, points))).sum(axis=1)
-
-
-def _angles(mus: np.ndarray, points: np.ndarray):
-    """Cosines clip(mus @ points.T) and angles arccos of them, both (K, n)."""
-    C = mus @ points.T
-    np.clip(C, -1.0, 1.0, out=C)
-    return C, np.arccos(C)
+    return 0.5 * (W * np.square(_angles(mus, points)[1])).sum(axis=1)
 
 
 def _bb_trial(mu, mean_log, prev, alpha):
@@ -194,19 +178,21 @@ def _bb_trial(mu, mean_log, prev, alpha):
     return np.where(sy > 0.0, np.clip(bb, 0.5, _BB_MAX_STEP), 0.5)
 
 
-def _armijo_columns(points, W, mus, mean_log, grad_norm, C, theta, alpha):
+def _armijo_columns(points, W, mus, mean_log, grad_norm, theta, alpha):
     """Backtracking step along each column's negative gradient.
 
-    ``C`` and ``theta`` are the cosines and angles between ``mus`` and the
-    points; ``alpha`` is each column's first trial, for the step
-    2 alpha mean_log. Each column halves its own step until its Armijo test
-    passes or the halvings run out. The test is on the dispersion, half of
-    sum_n w_n d^2, so its decrease is halved; the dispersion at ``mus`` comes
-    from ``theta``, and each trial point's angles are computed once.
+    ``theta`` holds the angles between ``mus`` and the points; ``alpha`` is
+    each column's first trial, for the step 2 alpha mean_log. Each column
+    halves its own step until its Armijo test passes or the halvings run out.
+    The test is on the dispersion, half of sum_n w_n d^2, so its decrease is
+    halved; the dispersion at ``mus`` comes from ``theta``, and each trial
+    point's angles are computed once. A column whose halvings run out (near
+    the minimum the decrease can fall below the rounding of the dispersion)
+    takes the Karcher step alpha = 1/2 instead, and the caller's
+    displacement test decides whether it has converged.
 
-    Returns (new, found, C, theta, alpha): where ``found[k]``, ``new[k]`` is
-    the accepted candidate with its cosines, angles and step; elsewhere it is
-    the unchanged ``mus[k]`` with the input cosines and angles and step 0.
+    Returns (new, C, theta, alpha): each column's new point with its cosines,
+    angles and step.
     """
     f0 = 0.5 * (W * np.square(theta)).sum(axis=1)
     new = None
@@ -218,21 +204,23 @@ def _armijo_columns(points, W, mus, mean_log, grad_norm, C, theta, alpha):
         if new is None:
             if ok.all():
                 # every first trial passed, the usual case
-                return cand, ok, C_cand, theta_cand, alpha
-            new, C, theta = mus.copy(), C.copy(), theta.copy()
-            todo = np.arange(mus.shape[0])
-            found, accepted = np.zeros(todo.size, dtype=bool), np.zeros(todo.size)
+                return cand, C_cand, theta_cand, alpha
+            new, C, theta = np.empty_like(cand), np.empty_like(C_cand), np.empty_like(theta_cand)
+            todo, accepted = np.arange(mus.shape[0]), np.empty(mus.shape[0])
         if ok.any():
             idx = todo[ok]
             new[idx], C[idx], theta[idx] = cand[ok], C_cand[ok], theta_cand[ok]
-            found[idx], accepted[idx] = True, alpha[ok]
+            accepted[idx] = alpha[ok]
             if ok.all():
-                break
+                return new, C, theta, accepted
             keep = ~ok
             todo, W, mus, mean_log = todo[keep], W[keep], mus[keep], mean_log[keep]
             f0, grad_norm, alpha = f0[keep], grad_norm[keep], alpha[keep]
         alpha = 0.5 * alpha
-    return new, found, C, theta, accepted
+    new[todo] = unitize(batch_exp(mus, mean_log))
+    C[todo], theta[todo] = _angles(new[todo], points)
+    accepted[todo] = 0.5
+    return new, C, theta, accepted
 
 
 def _log_factor(C: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -297,23 +285,23 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
             active, mu, Wa = active[keep], mu[keep], Wa[keep]
             mean_log, grad_norm = mean_log[keep], grad_norm[keep]
             if search:
-                C, theta, alpha = C[keep], theta[keep], alpha[keep]
+                theta, alpha = theta[keep], alpha[keep]
             if active.size == 0:
                 break
         if search:
-            new, found, C, theta, alpha = _armijo_columns(
-                points, Wa, mu, mean_log, grad_norm, C, theta, alpha
+            new, C, theta, alpha = _armijo_columns(
+                points, Wa, mu, mean_log, grad_norm, theta, alpha
             )
             prev = mean_log
         else:
-            new, found = unitize(batch_exp(mu, 2.0 * cfg.alpha * mean_log)), True
+            # the 1/L step: 2 alpha mean_log at alpha = 1/2
+            new = unitize(batch_exp(mu, mean_log))
             theta = None
-        # a component whose line search gave up keeps its mu, so it stops as unmoved
         stop = np.square(new - mu).sum(axis=1) < cfg.epsilon**2
         mu = new
         if stop.any():
             done = active[stop]
-            iterations[done], converged[done], mus[done] = t, (stop & found)[stop], mu[stop]
+            iterations[done], converged[done], mus[done] = t, True, mu[stop]
             keep = ~stop
             active, mu, Wa = active[keep], mu[keep], Wa[keep]
             if search:
@@ -339,7 +327,7 @@ def weighted_frechet_mean(points, weights=None, cfg: FrechetConfig | None = None
     points : (n, p+1) array of unit rows.
     weights : optional non-negative weights, normalized internally so only
         their proportions matter; ``None`` means uniform.
-    cfg : solver settings; defaults to the fixed 1/L step ``alpha = 0.5``.
+    cfg : solver settings; defaults to the fixed 1/L (Karcher) step.
 
     Starts from the normalized weighted Euclidean average and follows the
     Riemannian gradient. With observations inside an open quarter-sphere
@@ -381,11 +369,11 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     halley = cfg.method == "halley"
     # Moment-matched start: E[d^2] ~ p / lam for concentrated data.
     lams = np.minimum(p / (2.0 * d), 0.5 * LAMBDA_MAX)
-    iterations = np.full(d.shape, cfg.max_iter)
+    iterations = np.full(d.shape, _CONCENTRATION_MAX_ITER)
     converged = np.zeros(d.shape, dtype=bool)
     # entries still iterating, with their concentrations and dispersions
     active, lam, da = np.arange(d.size), lams.copy(), d
-    for t in range(1, cfg.max_iter + 1):
+    for t in range(1, _CONCENTRATION_MAX_ITER + 1):
         mean, var, moment_3 = _radial_moments(p, lam)
         g1 = da - 0.5 * mean
         g2 = 0.25 * var

@@ -28,19 +28,19 @@ UNIT_ROW_TOL = 1e-6    # max | ||x|| - 1 | accepted for a data row
 _EPS = float(np.finfo(float).eps)
 
 
-def unitize(v, axis: int = -1) -> np.ndarray:
-    """Scale vectors to unit length along ``axis``; reject near-zero input."""
+def unitize(v) -> np.ndarray:
+    """Scale vectors (coordinates on the last axis) to unit length; reject near-zero input."""
     v = np.asarray(v, dtype=float)
-    norms = _norms(v, axis)
+    norms = _norms(v)
     if norms.size and norms.min() < NORM_FLOOR:
         raise ValueError("cannot normalize a near-zero vector")
     return v / norms
 
 
-def _norms(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Euclidean norms along ``axis``, kept as a length-1 axis: the arithmetic
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, kept as a length-1 axis: the arithmetic
     of np.linalg.norm, bit for bit, without its dispatch."""
-    return np.sqrt(np.add.reduce(v * v, axis=axis, keepdims=True))
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
 def _unit_rows(points) -> np.ndarray:
@@ -108,9 +108,12 @@ def geodesic_distance(x, y):
     return float(d) if d.ndim == 0 else d
 
 
-def _distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, k) geodesic distances between the rows of ``x`` and the rows of ``y``."""
-    return np.arccos((x @ y.T).clip(-1.0, 1.0))
+def _angles(x: np.ndarray, y: np.ndarray):
+    """(n, k) cosines clip(x @ y.T) and their arccos, the geodesic distances
+    between the rows of ``x`` and the rows of ``y``."""
+    C = x @ y.T
+    np.clip(C, -1.0, 1.0, out=C)
+    return C, np.arccos(C)
 
 
 def batch_project(base, z) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""CSV and JSON persistence for datasets, labels, models, and run reports.
+"""CSV and JSON persistence for point sets, labels, models, and run reports.
 
 Point data travels as comma-separated numeric rows (optional single header
 line); labels as one integer per line; models and reports as JSON. Floats
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .mixture import EMReport, MixtureModel
 
 __all__ = [
-    "Dataset",
     "load_csv",
     "save_points",
     "save_labels",
@@ -31,24 +29,8 @@ __all__ = [
 _UNIT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An (N, p+1) matrix of unit rows plus a provenance string."""
-
-    points: np.ndarray
-    source: str = ""
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.points.shape[1] - 1
-
-
-def load_csv(path, normalize: bool = False, has_header: bool = False) -> Dataset:
-    """Read ambient coordinates from a CSV file.
+def load_csv(path, normalize: bool = False, has_header: bool = False) -> np.ndarray:
+    """Read ambient coordinates from a CSV file as an (N, p+1) array.
 
     With ``normalize`` every row is scaled to unit length (zero rows are an
     error); without it every row must already be unit within 1e-8. Errors
@@ -95,7 +77,7 @@ def load_csv(path, normalize: bool = False, has_header: bool = False) -> Dataset
             raise ValueError(
                 f"rows {bad} of {path} are not unit vectors; pass normalize=True to project them"
             )
-    return Dataset(points=x, source=str(path))
+    return x
 
 
 def _write_points(fh, points) -> None:

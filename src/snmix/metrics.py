@@ -22,6 +22,10 @@ __all__ = [
     "spherical_kmeans",
 ]
 
+# Lloyd runs per clustering, and assignment passes per run
+_RESTARTS = 10
+_MAX_ITER = 100
+
 
 def _as_labels(a) -> np.ndarray:
     arr = np.asarray(a)
@@ -106,8 +110,8 @@ def _sq_dists(sq_norms: np.ndarray, twice_x: np.ndarray, centers: np.ndarray) ->
     return sq_norms - twice_x @ centers.T + np.sum(centers * centers, axis=1)[None, :]
 
 
-def _lloyd(x: np.ndarray, k: int, seed, restarts: int, max_iter: int, centre) -> np.ndarray:
-    """Best of ``restarts`` Lloyd runs by within-cluster squared error; 1-based labels.
+def _lloyd(x: np.ndarray, k: int, seed, centre) -> np.ndarray:
+    """Best of ``_RESTARTS`` Lloyd runs by within-cluster squared error; 1-based labels.
 
     ``x`` is a finite (N, d) array. ``centre(x, means, centers)`` gives the
     new (k, d) centres from the member means; ``centers`` holds the current ones.
@@ -120,10 +124,10 @@ def _lloyd(x: np.ndarray, k: int, seed, restarts: int, max_iter: int, centre) ->
     # one contiguous row per coordinate, so each centre coordinate is one bincount
     coords = np.ascontiguousarray(x.T)
     best_labels, best_sse = None, math.inf
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         centers = x[rng.choice(n, size=k, replace=False)].copy()
         labels = np.full(n, -1)
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             d2 = _sq_dists(sq_norms, twice_x, centers)
             new = np.argmin(d2, axis=1)
             counts = np.bincount(new, minlength=k)
@@ -177,16 +181,16 @@ def _unit_mean_centre(x, means, centers) -> np.ndarray:
     return centers
 
 
-def kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int = 100) -> np.ndarray:
+def kmeans(points, K: int, seed=0) -> np.ndarray:
     """Lloyd's algorithm with restarts; returns 1-based labels.
 
-    Deterministic for a given seed: the best of ``restarts`` runs by
-    within-cluster squared error is returned.
+    Deterministic for a given seed: the best of 10 runs (at most 100
+    assignment passes each) by within-cluster squared error is returned.
     """
-    return _lloyd(_points(points), K, seed, restarts, max_iter, lambda _x, means, _centers: means)
+    return _lloyd(_points(points), K, seed, lambda _x, means, _centers: means)
 
 
-def spherical_kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int = 100) -> np.ndarray:
+def spherical_kmeans(points, K: int, seed=0) -> np.ndarray:
     """Cosine-similarity k-means on unit vectors; returns 1-based labels.
 
     Points are assigned to the most-parallel centroid and centroids are the
@@ -195,4 +199,4 @@ def spherical_kmeans(points, K: int, seed=0, restarts: int = 10, max_iter: int =
     centroid is the most parallel one, so this is Lloyd's loop with a
     normalized centre update.
     """
-    return _lloyd(unitize(_points(points)), K, seed, restarts, max_iter, _unit_mean_centre)
+    return _lloyd(unitize(_points(points)), K, seed, _unit_mean_centre)

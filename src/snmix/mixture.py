@@ -25,14 +25,14 @@ from .estimation import (
     ConcentrationConfig,
     FrechetConfig,
     _check_count,
-    _check_stop_rule,
+    _check_tolerance,
     _concentration,
     _concentration_columns,
     _dispersions,
     _frechet_columns,
     _scale_columns,
 )
-from .geometry import _distance_matrix, _unit_rows, unitize
+from .geometry import _angles, _unit_rows, unitize
 from .metrics import kmeans
 
 __all__ = [
@@ -166,7 +166,8 @@ class EMConfig:
             raise ValueError("assignment must be 'soft', 'hard' or 'stochastic'")
         if self.concentration_mode not in ("heterogeneous", "homogeneous"):
             raise ValueError("concentration_mode must be 'heterogeneous' or 'homogeneous'")
-        _check_stop_rule("epsilon_gamma", self.epsilon_gamma, self.max_iter)
+        _check_tolerance("epsilon_gamma", self.epsilon_gamma)
+        _check_count("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ class EMReport:
 def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
     """(K, N) matrix of log pi_k + log f_k(x_n)."""
     lams = model.lams
-    d2 = np.square(_distance_matrix(model.mus, data))
+    d2 = np.square(_angles(model.mus, data)[1])
     log_z = _log_partition_many(model.p, lams)
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.weights)

@@ -17,7 +17,9 @@ __all__ = [
     "estimation_benchmark",
 ]
 
-
+SMALL_MIX_N_PER_COMPONENT = 100
+LARGE_MIX_N = 3000
+HOUSEHOLD_MIX_SIZES = (120, 70, 70)
 
 SMALL_MIX_PARAMS = (
     ((-0.251, -0.968), 10.0),
@@ -53,20 +55,20 @@ def _draw_components(components, counts, rng):
     return np.vstack(points), np.concatenate(labels)
 
 
-def small_mix(seed: int = 0, n_per_component: int = 100):
+def small_mix(seed: int = 0):
     """Two-component benchmark on the circle: one tight cluster, one diffuse.
 
-    Returns (points, labels) with ``n_per_component`` draws per component
-    and 1-based labels.
+    Returns (points, labels) with ``SMALL_MIX_N_PER_COMPONENT`` draws per
+    component and 1-based labels.
     """
     rng = np.random.default_rng(seed)
     components = [(unitize(np.asarray(mu)), lam) for mu, lam in SMALL_MIX_PARAMS]
-    counts = np.full(len(components), int(n_per_component))
+    counts = np.full(len(components), SMALL_MIX_N_PER_COMPONENT)
     return _draw_components(components, counts, rng)
 
 
-def large_mix(seed: int = 0, n_total: int = 3000):
-    """Three well-separated components on S^3 with near-equal weights.
+def large_mix(seed: int = 0):
+    """Three well-separated components on S^3, near-equal weights, ``LARGE_MIX_N`` draws.
 
     Component locations are drawn uniformly and reflected coordinatewise
     into distinct orthants (redrawn until pairwise separation reaches
@@ -85,17 +87,18 @@ def large_mix(seed: int = 0, n_total: int = 3000):
         if min(seps) >= _LARGE_MIX_MIN_SEP:
             break
     u = rng.uniform(9.0, 11.0, size=len(mus))
-    counts = _apportion(u / u.sum(), int(n_total))
+    counts = _apportion(u / u.sum(), LARGE_MIX_N)
     components = list(zip(mus, LARGE_MIX_CONCENTRATIONS))
     return _draw_components(components, counts, rng)
 
 
-def household_mix(seed: int = 0, sizes=(120, 70, 70)):
+def household_mix(seed: int = 0):
     """Surrogate of the two-group expenditure data on S^2.
 
     One tight cluster, plus a dispersed group realized as two latent
     subgroups displaced symmetrically from its center, orthogonally to the
-    direction of the tight cluster. Ground truth has three components.
+    direction of the tight cluster. Ground truth has three components, of
+    ``HOUSEHOLD_MIX_SIZES`` draws each.
     """
     rng = np.random.default_rng(seed)
     mu_tight = unitize(np.array([0.954, 0.266, 0.135]))
@@ -105,7 +108,7 @@ def household_mix(seed: int = 0, sizes=(120, 70, 70)):
     sub1 = batch_exp(mu_spread, 0.35 * across)
     sub2 = batch_exp(mu_spread, -0.35 * across)
     components = [(mu_tight, 95.743), (sub1, 40.0), (sub2, 40.0)]
-    return _draw_components(components, np.asarray(sizes, dtype=int), rng)
+    return _draw_components(components, np.asarray(HOUSEHOLD_MIX_SIZES), rng)
 
 
 def _cell_rng(seed: int, *indices: int) -> np.random.Generator:

@@ -40,14 +40,14 @@ class TestFit:
         assert abs(newton - halley) < 1e-6
 
     def test_defaults_match_fit_sn(self, tmp_path, capsys):
-        # without --alpha and the other solver flags the command runs fit_sn's
+        # without the solver flags the command runs fit_sn's
         # defaults, so it returns the library fit bit for bit
         pts = sample(SNParams(np.array([0.0, 0.6, 0.8]), 12.0), 150, 3)
         data = tmp_path / "pts.csv"
         dataio.save_points(data, pts)
         assert run(["fit", "--input", data]) == 0
         doc = json.loads(capsys.readouterr().out)
-        ref = fit_sn(dataio.load_csv(data).points)
+        ref = fit_sn(dataio.load_csv(data))
         assert doc["mu"] == list(ref.params.mu.coords) and doc["lambda"] == ref.params.lam
         assert (doc["iterations_mu"], doc["iterations_lambda"]) == (ref.iterations_mu, ref.iterations_lambda)
 
@@ -150,7 +150,7 @@ class TestSample:
         out = tmp_path / "draws.csv"
         assert run(["sample", "--mu", "0,0,1", "--lambda", "1e6", "-n", 100,
                     "--seed", 0, "--output", out]) == 0
-        pts = dataio.load_csv(out).points
+        pts = dataio.load_csv(out)
         assert pts.shape == (100, 3)
         assert np.max(geodesic_distance(pts, np.array([0.0, 0.0, 1.0]))) < 0.01
 
@@ -175,7 +175,7 @@ class TestSample:
         model_path.write_text(json.dumps(model_doc))
         out = tmp_path / "draws.csv"
         run(["sample", "--model", model_path, "-n", 200, "--seed", 4, "--output", out])
-        pts = dataio.load_csv(out).points
+        pts = dataio.load_csv(out)
         assert np.max(geodesic_distance(pts, np.array([0.0, 0.0, 1.0]))) < 0.5
 
     def test_missing_parameters_exit_2(self, capsys):
@@ -216,7 +216,7 @@ class TestSimulate:
     def test_small_mix_shapes(self, tmp_path):
         prefix = tmp_path / "sm"
         assert run(["simulate", "--scenario", "small-mix", "--seed", 2, "--output", prefix]) == 0
-        pts = dataio.load_csv(f"{prefix}.data.csv").points
+        pts = dataio.load_csv(f"{prefix}.data.csv")
         labels = dataio.load_labels(f"{prefix}.labels.txt")
         assert pts.shape == (200, 2)
         assert list(np.bincount(labels)[1:]) == [100, 100]
@@ -224,7 +224,7 @@ class TestSimulate:
     def test_large_mix_proportions(self, tmp_path):
         prefix = tmp_path / "lm"
         assert run(["simulate", "--scenario", "large-mix", "--seed", 2, "--output", prefix]) == 0
-        pts = dataio.load_csv(f"{prefix}.data.csv").points
+        pts = dataio.load_csv(f"{prefix}.data.csv")
         labels = dataio.load_labels(f"{prefix}.labels.txt")
         assert pts.shape == (3000, 4)
         fractions = np.bincount(labels)[1:] / 3000.0

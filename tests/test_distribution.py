@@ -124,13 +124,15 @@ class TestLogPartition:
         with pytest.raises(ValueError):
             log_partition(2, -1.0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300, 2.0 * LAMBDA_MAX]
+    )
     def test_public_entries_validate_concentration(self, bad):
-        # the concentration solver's stencil skips these checks; calls from
-        # outside it keep them
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        # the concentration solver's moments skip these checks; calls from
+        # outside it keep them, with the range every model concentration obeys
+        with pytest.raises(ValueError, match=r"concentration must be in \[0, 1e\+08\]"):
             log_partition(3, bad)
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match=r"concentration must be in \[0, 1e\+08\]"):
             _log_partition_many(3, [1.0, bad])
 
     def test_uniform_cutoff_has_no_warning(self):
@@ -212,8 +214,8 @@ class TestGradLogPartition:
             grad_log_partition(0, 1.0)
         with pytest.raises(ValueError, match="dimension"):
             grad_log_partition(1.5, 1.0)
-        for bad in (float("nan"), float("inf"), -1e-3):
-            with pytest.raises(ValueError, match="finite and non-negative"):
+        for bad in (float("nan"), float("inf"), -1e-3, 2.0 * LAMBDA_MAX):
+            with pytest.raises(ValueError, match=r"concentration must be in \[0, 1e\+08\]"):
                 grad_log_partition(2, bad)
         with pytest.raises(ValueError, match="order"):
             grad_log_partition(2, 1.0, order=4)

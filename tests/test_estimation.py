@@ -11,7 +11,6 @@ from snmix.estimation import (
     ConcentrationConfig,
     FrechetConfig,
     MLEResult,
-    _angles,
     _armijo_columns,
     _bb_trial,
     _concentration,
@@ -25,7 +24,7 @@ from snmix.estimation import (
     fit_sn,
     weighted_frechet_mean,
 )
-from snmix.geometry import batch_exp, batch_log, batch_project, geodesic_distance, unitize
+from snmix.geometry import _angles, batch_exp, batch_log, batch_project, geodesic_distance, unitize
 from snmix.mixture import MixtureModel, log_likelihood
 
 from test_distribution import closed_form_dlog_z1
@@ -117,7 +116,7 @@ class TestWeightedFrechetMean:
         cfg = FrechetConfig(step_rule="line_search")
         mu = unitize(w @ pts)
         values = [frechet_value(pts, w, mu)]
-        C, theta = _angles(mu[None, :], pts)
+        theta = _angles(mu[None, :], pts)[1]
         prev = alpha = None
         for _ in range(30):
             mean_log = (w @ batch_log(mu, pts))[None, :]
@@ -125,11 +124,9 @@ class TestWeightedFrechetMean:
             if grad_norm[0] < cfg.epsilon:
                 break
             alpha = _bb_trial(mu[None, :], mean_log, prev, alpha)
-            nxt, found, C, theta, alpha = _armijo_columns(
-                pts, w[None, :], mu[None, :], mean_log, grad_norm, C, theta, alpha
+            nxt, _, theta, alpha = _armijo_columns(
+                pts, w[None, :], mu[None, :], mean_log, grad_norm, theta, alpha
             )
-            if not found[0]:
-                break
             # the carried angles are those of the accepted point
             np.testing.assert_array_equal(theta, _angles(nxt, pts)[1])
             prev, mu = mean_log, nxt[0]
@@ -375,16 +372,48 @@ class TestColumnSolvers:
         mean_log = G - (G * mus).sum(axis=1)[:, None] * mus
         grad_norm = 2.0 * np.linalg.norm(mean_log, axis=1)
         alpha = np.array([0.5, 1e3])
-        new, found, C_new, theta_new, step = _armijo_columns(
-            pts, W, mus, mean_log, grad_norm, C, theta, alpha
+        new, C_new, theta_new, step = _armijo_columns(
+            pts, W, mus, mean_log, grad_norm, theta, alpha
         )
-        assert found.all() and step[0] == 0.5 and 0.0 < step[1] < 1e3
+        assert step[0] == 0.5 and 0.5 < step[1] < 1e3
         np.testing.assert_allclose(theta_new, _angles(new, pts)[1], rtol=0.0, atol=1e-15)
         for k in range(2):
             one = _armijo_columns(pts, W[k:k + 1], mus[k:k + 1], mean_log[k:k + 1],
-                                  grad_norm[k:k + 1], C[k:k + 1], theta[k:k + 1], alpha[k:k + 1])
+                                  grad_norm[k:k + 1], theta[k:k + 1], alpha[k:k + 1])
             np.testing.assert_allclose(new[k], one[0][0], rtol=0.0, atol=1e-15)
-            assert (found[k], step[k]) == (one[1][0], one[4][0])
+            assert step[k] == one[3][0]
+
+    def test_armijo_gives_up_with_the_karcher_step(self):
+        # a column none of whose halvings passes takes the 1/L (Karcher) step
+        # of the fixed rule, with that point's angles. Near the minimum the
+        # Armijo decrease can fall below the rounding of the dispersion; here
+        # every halving fails because the gradient norm passed in overstates
+        # the true one (about 1e-6) by a million
+        rng = np.random.default_rng(5)
+        pts = unitize(rng.standard_normal((40, 4)) + np.array([2.0, 0.0, 0.0, 0.0]))
+        w = np.full((1, 40), 1.0 / 40)
+        mu, _, _ = _frechet(pts, w[0], FrechetConfig())
+        mu = unitize(batch_exp(mu, np.array([0.0, 3e-7, -2e-7, 4e-7])))[None, :]
+        C, theta = _angles(mu, pts)
+        G = (w * _log_factor(C, theta)) @ pts
+        mean_log = G - (G * mu).sum(axis=1)[:, None] * mu
+        new, C_new, theta_new, step = _armijo_columns(pts, w, mu, mean_log, np.array([1.0]),
+                                                      theta, np.array([0.5]))
+        assert step[0] == 0.5 and np.any(new != mu)
+        np.testing.assert_array_equal(new, unitize(batch_exp(mu, mean_log)))
+        np.testing.assert_array_equal(C_new, _angles(new, pts)[0])
+        np.testing.assert_array_equal(theta_new, _angles(new, pts)[1])
+
+    def test_line_search_converges_at_the_rounding_floor(self):
+        # the fit-sweep benchmark cell (p 20, lam 5, n 50) of seed 3, pass 120: a
+        # gradient norm just above epsilon left the line search unable to move
+        pole = np.zeros(21)
+        pole[-1] = 1.0
+        x = sample(SNParams(pole, 5.0), 50, np.random.default_rng([3, 120, 22]))
+        w = np.full(50, 1.0 / 50)
+        _, it_fixed, conv_fixed = _frechet(x, w, FrechetConfig())
+        _, it_search, conv_search = _frechet(x, w, FrechetConfig(step_rule="line_search"))
+        assert conv_fixed and conv_search and it_search <= it_fixed
 
     def test_one_arccos_per_trial_point(self, monkeypatch):
         # the line search computes each trial point's angles once and hands

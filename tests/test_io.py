@@ -1,4 +1,4 @@
-"""Dataset, label, model, and report persistence."""
+"""Point, label, model, and report persistence."""
 
 import json
 
@@ -15,15 +15,14 @@ class TestLoadCSV:
     def test_normalize_rows(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("3,4,0\n0,0,2\n")
-        ds = dataio.load_csv(path, normalize=True)
-        np.testing.assert_allclose(ds.points, [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
-        assert ds.n == 2 and ds.p == 2
+        x = dataio.load_csv(path, normalize=True)
+        np.testing.assert_allclose(x, [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
+        assert x.shape == (2, 3)
 
     def test_unit_rows_accepted_verbatim(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("1,0\n0,1\n")
-        ds = dataio.load_csv(path)
-        np.testing.assert_array_equal(ds.points, np.eye(2))
+        np.testing.assert_array_equal(dataio.load_csv(path), np.eye(2))
 
     def test_non_unit_rows_rejected_without_normalize(self, tmp_path):
         path = tmp_path / "pts.csv"
@@ -58,8 +57,7 @@ class TestLoadCSV:
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("x,y\n1,0\n")
-        ds = dataio.load_csv(path, has_header=True)
-        assert ds.n == 1
+        assert dataio.load_csv(path, has_header=True).shape == (1, 2)
 
 
 class TestRoundTrips:
@@ -68,8 +66,7 @@ class TestRoundTrips:
         pts = unitize(rng.standard_normal((50, 4)))
         path = tmp_path / "pts.csv"
         dataio.save_points(path, pts)
-        back = dataio.load_csv(path)
-        np.testing.assert_array_equal(back.points, pts)
+        np.testing.assert_array_equal(dataio.load_csv(path), pts)
 
     def test_labels_round_trip(self, tmp_path):
         labels = np.array([1, 2, 2, 3, 1])

@@ -546,13 +546,12 @@ def test_non_finite_row_rejected(call):
         (lambda: FrechetConfig(epsilon=math.inf), "epsilon must be finite"),
         (lambda: FrechetConfig(max_iter=2.5), "max_iter must be a positive integer"),
         (lambda: ConcentrationConfig(epsilon=math.nan), "epsilon must be finite"),
-        (lambda: ConcentrationConfig(max_iter=100.0), "max_iter must be a positive integer"),
         (lambda: EMConfig(K=2, epsilon_gamma=math.nan), "epsilon_gamma must be finite"),
         (lambda: EMConfig(K=2.5), "K must be a positive integer"),
         (lambda: EMConfig(K=2, max_iter=2.5), "max_iter must be a positive integer"),
     ],
-    ids=["frechet_nan", "frechet_inf", "frechet_max_iter", "conc_nan", "conc_max_iter",
-         "em_nan", "em_k", "em_max_iter"],
+    ids=["frechet_nan", "frechet_inf", "frechet_max_iter", "conc_nan", "em_nan", "em_k",
+         "em_max_iter"],
 )
 def test_config_rejects_bad_values(make, match):
     with pytest.raises(ValueError, match=match):

@@ -69,6 +69,45 @@ def test_finite_difference_step_removed():
         build_parser().parse_args(["fit", "--input", "x.csv", "--h-scale", "1e-4"])
 
 
+# parameters that had one value in use and are now module constants
+REMOVED_PARAMETERS = [
+    ("snmix.metrics", "kmeans", ["restarts", "max_iter"]),
+    ("snmix.metrics", "spherical_kmeans", ["restarts", "max_iter"]),
+    ("snmix.simulate", "small_mix", ["n_per_component"]),
+    ("snmix.simulate", "large_mix", ["n_total"]),
+    ("snmix.simulate", "household_mix", ["sizes"]),
+    ("snmix.distribution", "log_density", ["order"]),
+    ("snmix.distribution", "grad_log_partition", ["quad_order"]),
+    ("snmix.geometry", "unitize", ["axis"]),
+    # private parameters that only passed these values along
+    ("snmix.metrics", "_lloyd", ["restarts", "max_iter"]),
+    ("snmix.geometry", "_norms", ["axis"]),
+    ("snmix.distribution", "_radial_cdf", ["cells"]),
+    ("snmix.distribution", "_radial_moments", ["order"]),
+]
+
+
+@pytest.mark.parametrize("module_name, function, names", REMOVED_PARAMETERS,
+                         ids=[f"{m}.{f}" for m, f, _ in REMOVED_PARAMETERS])
+def test_one_value_parameters_removed(module_name, function, names):
+    params = inspect.signature(getattr(importlib.import_module(module_name), function)).parameters
+    assert [name for name in names if name in params] == []
+
+
+def test_one_value_settings_removed():
+    # the fixed rule always takes the 1/L step and the concentration solve has
+    # one iteration cap, so neither is a config field or a CLI flag
+    from snmix import ConcentrationConfig, FrechetConfig
+    from snmix import io as dataio
+    from snmix.cli import build_parser
+
+    assert "alpha" not in {f.name for f in dataclasses.fields(FrechetConfig)}
+    assert "max_iter" not in {f.name for f in dataclasses.fields(ConcentrationConfig)}
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fit", "--input", "x.csv", "--alpha", "0.5"])
+    assert not hasattr(dataio, "Dataset")
+
+
 def test_import_loads_no_scipy():
     # SciPy is a test dependency only; a fresh interpreter that imports the
     # package (and its CLI) must not load any SciPy module
