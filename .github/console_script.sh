@@ -1,0 +1,18 @@
+#!/usr/bin/env bash
+# Drive the installed `snmix` entry point end to end, failing on any non-zero
+# exit: simulate, the EM and both k-means clusterers (a plain input goes
+# through NumPy's C CSV reader, a --has-header input through the csv module),
+# then sampling from the saved model and a fit of the draws.
+set -euo pipefail
+d=$(mktemp -d)
+snmix simulate --scenario large-mix --seed 1 --output "$d/lm"
+snmix cluster --input "$d/lm.data.csv" -K 3 --seed 1 --output "$d/run"
+{ echo "x0,x1,x2,x3"; cat "$d/lm.data.csv"; } > "$d/header.csv"
+for algorithm in kmeans spkmeans; do
+  snmix cluster --input "$d/lm.data.csv" -K 3 --algorithm "$algorithm" --seed 1 --output "$d/$algorithm"
+  snmix cluster --input "$d/header.csv" --has-header -K 3 --algorithm "$algorithm" --seed 1 \
+    --output "$d/$algorithm-header"
+  cmp "$d/$algorithm.labels.txt" "$d/$algorithm-header.labels.txt"
+done
+snmix sample --model "$d/run.model.json" -n 500 --seed 2 --output "$d/draws.csv"
+snmix fit --input "$d/draws.csv" --output "$d/fit.json"

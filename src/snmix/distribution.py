@@ -66,10 +66,11 @@ class SNParams:
 
 @lru_cache(maxsize=32)
 def _leggauss_base(order: int):
-    # computing the base rule is the expensive part; the affine map is cheap
+    # computing the base rule is the expensive part; the nodes are kept as x + 1
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     x, w = np.polynomial.legendre.leggauss(order)
+    x += 1.0
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -79,7 +80,7 @@ def _log_radial(p: int, lam, r):
     """Log of the unnormalized radial density: -lam r^2 / 2 + (p-1) log sin r."""
     log_f = -0.5 * lam * r * r
     if p > 1:
-        log_f = log_f + (p - 1) * np.log(np.sin(r))
+        log_f += (p - 1) * np.log(np.sin(r))
     return log_f
 
 
@@ -141,12 +142,13 @@ def _radial_nodes(p: int, lams: np.ndarray, order: int):
     integrand scaled by exp(-peak), and each row's largest log-integrand
     ``peak``, so a row's largest term is its weight times exp(0) = 1.
     """
-    x, w = _leggauss_base(int(order))
-    upper = _radial_cutoff(p, lams)[:, None]
-    r = 0.5 * upper * (x + 1.0)
-    log_f = _log_radial(p, lams[:, None], r)
-    peak = log_f.max(axis=1)
-    return r, 0.5 * upper * w * np.exp(log_f - peak[:, None]), peak
+    x1, w = _leggauss_base(int(order))
+    half = 0.5 * _radial_cutoff(p, lams)[:, None]
+    r = half * x1
+    mass = _log_radial(p, lams[:, None], r)
+    peak = mass.max(axis=1)
+    mass -= peak[:, None]
+    return r, np.multiply(np.exp(mass, out=mass), half * w, out=mass), peak
 
 
 def _radial_moments(p: int, lams: np.ndarray):
@@ -159,11 +161,11 @@ def _radial_moments(p: int, lams: np.ndarray):
     """
     r, mass, _ = _radial_nodes(p, lams, DEFAULT_QUAD_ORDER)
     total = mass.sum(axis=1)
-    r2 = r * r
-    mean = (mass * r2).sum(axis=1) / total
-    dev = r2 - mean[:, None]
+    dev = np.square(r, out=r)  # r^2, then its deviation from the mean
+    mean = (mass * dev).sum(axis=1) / total
+    dev -= mean[:, None]
     sq = mass * dev * dev
-    return mean, sq.sum(axis=1) / total, (sq * dev).sum(axis=1) / total
+    return mean, sq.sum(axis=1) / total, np.multiply(sq, dev, out=sq).sum(axis=1) / total
 
 
 def log_density(x, params: SNParams):

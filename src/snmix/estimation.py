@@ -50,6 +50,7 @@ _CONCENTRATION_MAX_ITER = 100
 # Largest first trial of the line search: bounds the Barzilai-Borwein step
 # where the curvature along the last step is nearly zero.
 _BB_MAX_STEP = 1e3
+_TINY = float(np.finfo(float).tiny)
 
 
 def _check_count(name: str, value) -> None:
@@ -224,14 +225,16 @@ def _armijo_columns(points, W, mus, mean_log, grad_norm, theta, alpha):
 
 
 def _log_factor(C: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """theta / sin(theta), 1 at theta = 0, for cosines C in (-1, 1] and theta = arccos(C).
+    """theta / sin(theta), 1 at theta = 0, written over the cosines C in (-1, 1] of theta.
 
     sin(theta) is taken from the cosine as sqrt((1 - C)(1 + C)), which costs
     less than np.sin and keeps full relative accuracy up to theta = pi: for
-    |C| >= 1/2 the smaller of 1 - C and 1 + C is exact.
+    |C| >= 1/2 the smaller of 1 - C and 1 + C is exact. Flooring both at the smallest
+    normal float only turns 0 / 0 into 1, since theta > 0 means theta > 1e-8.
     """
-    sin = np.sqrt((1.0 - C) * (1.0 + C))
-    return np.divide(theta, sin, out=np.ones_like(theta), where=theta > 0.0)
+    np.multiply(1.0 - C, 1.0 + C, out=C)
+    np.maximum(np.sqrt(C, out=C), _TINY, out=C)
+    return np.divide(np.maximum(theta, _TINY), C, out=C)
 
 
 def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
@@ -270,7 +273,8 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
             raise ValueError(
                 "points include the antipode of a location estimate; the Frechet mean is undefined"
             )
-        F = Wa * _log_factor(C, theta)
+        F = _log_factor(C, theta)
+        F *= Wa
         # sum_n F_kn C_kn mu_k = (G_k . mu_k) mu_k, so only G needs the n points
         G = F @ points
         mean_log = G - (G * mu).sum(axis=1)[:, None] * mu

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,32 +35,42 @@ def load_csv(path, normalize: bool = False, has_header: bool = False) -> np.ndar
 
     With ``normalize`` every row is scaled to unit length (zero rows are an
     error); without it every row must already be unit within 1e-8. Errors
-    name the offending 1-based file rows.
+    name the offending 1-based file rows. NumPy's C reader parses a file
+    without a header; what it rejects, or what fails a check, the ``csv``
+    module reads again, with the same values and errors that name the rows.
     """
     path = Path(path)
-    rows: list[list[float]] = []
-    row_numbers: list[int] = []
+    if not has_header:
+        try:
+            with open(path) as fh, warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty file warns
+                x = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            return _checked(x, range(1, len(x) + 1), path, normalize)
+        except (ValueError, UserWarning):
+            pass
+    rows, row_numbers = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        skipped_header = not has_header
-        for line_no, raw in enumerate(reader, start=1):
+        for line_no, raw in enumerate(csv.reader(fh), start=1):
             if not raw or all(not cell.strip() for cell in raw):
                 continue
-            if not skipped_header:
-                skipped_header = True
+            if has_header:  # the first non-blank row
+                has_header = False
                 continue
             try:
                 rows.append([float(cell) for cell in raw])
             except ValueError:
                 raise ValueError(f"non-numeric value at row {line_no} of {path}") from None
             row_numbers.append(line_no)
-    if not rows:
-        raise ValueError("no observations")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if len({len(r) for r in rows}) > 1:
         bad = [row_numbers[i] for i, r in enumerate(rows) if len(r) != len(rows[0])]
         raise ValueError(f"ragged rows at {bad} of {path}")
-    x = np.asarray(rows, dtype=float)
+    return _checked(np.asarray(rows, dtype=float), row_numbers, path, normalize)
+
+
+def _checked(x: np.ndarray, row_numbers, path, normalize: bool) -> np.ndarray:
+    """The checks of :func:`load_csv` on ``x``, whose rows are the file rows ``row_numbers``."""
+    if not x.size:
+        raise ValueError("no observations")
     if not np.all(np.isfinite(x)):
         bad = [row_numbers[i] for i in np.unique(np.nonzero(~np.isfinite(x))[0])]
         raise ValueError(f"non-finite values at rows {bad} of {path}")
@@ -95,10 +106,9 @@ def save_points(path, points) -> None:
 
 def save_labels(path, labels) -> None:
     """One integer label per line."""
-    arr = np.asarray(labels)
+    text = "".join([f"{int(value)}\n" for value in np.asarray(labels).tolist()])
     with open(path, "w") as fh:
-        for value in arr:
-            fh.write(f"{int(value)}\n")
+        fh.write(text)
 
 
 def load_labels(path) -> np.ndarray:

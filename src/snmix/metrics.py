@@ -105,11 +105,6 @@ def nmi(a, b) -> float:
     return min(1.0, info / math.sqrt(h_a * h_b))
 
 
-def _sq_dists(sq_norms: np.ndarray, twice_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """||x_n - c_j||^2 from the loop-invariant (N, 1) row norms ||x_n||^2 and 2 x."""
-    return sq_norms - twice_x @ centers.T + np.sum(centers * centers, axis=1)[None, :]
-
-
 def _lloyd(x: np.ndarray, k: int, seed, centre) -> np.ndarray:
     """Best of ``_RESTARTS`` Lloyd runs by within-cluster squared error; 1-based labels.
 
@@ -120,28 +115,34 @@ def _lloyd(x: np.ndarray, k: int, seed, centre) -> np.ndarray:
     if k < 1 or n < k:
         raise ValueError("need at least K observations")
     rng = np.random.default_rng(seed)
-    sq_norms, twice_x = np.sum(x * x, axis=1)[:, None], 2.0 * x
-    # one contiguous row per coordinate, so each centre coordinate is one bincount
-    coords = np.ascontiguousarray(x.T)
+    # loop-invariant ||x_n||^2 and 2 x as (d, N) rows; one contiguous row per
+    # coordinate, so each centre coordinate is one bincount
+    sq_norms, twice_xt, coords = np.sum(x * x, axis=1), 2.0 * x.T, np.ascontiguousarray(x.T)
     best_labels, best_sse = None, math.inf
     for _ in range(_RESTARTS):
         centers = x[rng.choice(n, size=k, replace=False)].copy()
         labels = np.full(n, -1)
-        for _ in range(_MAX_ITER):
-            d2 = _sq_dists(sq_norms, twice_x, centers)
-            new = np.argmin(d2, axis=1)
+        for it in range(_MAX_ITER + 1):
+            # (k, N) ||x_n - c_j||^2; pass _MAX_ITER only measures the last centres
+            d2 = sq_norms - centers @ twice_xt + np.sum(centers * centers, axis=1)[:, None]
+            if it == _MAX_ITER:
+                break
+            new, best = np.zeros(n, dtype=np.intp), d2[0].copy()
+            for j in range(1, k):  # the first nearest centre on ties, as argmin gives
+                new[d2[j] < best] = j
+                np.minimum(best, d2[j], out=best)
             counts = np.bincount(new, minlength=k)
-            if not counts.all():
-                # empty clusters grab the point currently served worst
-                for j in range(k):
-                    if not np.any(new == j):
-                        new[int(np.argmax(d2[np.arange(n), new]))] = j
-                counts = np.bincount(new, minlength=k)
+            for j in np.flatnonzero(counts == 0):
+                # each empty cluster takes the worst-served point whose cluster keeps a member
+                i = int(np.argmax(np.where(counts[new] > 1, d2[new, np.arange(n)], -np.inf)))
+                counts[new[i]] -= 1
+                counts[j] += 1
+                new[i] = j
             if np.array_equal(new, labels):
                 break
             labels = new
             centers = centre(x, _member_means(coords, labels, counts), centers)
-        sse = float(np.sum(_sq_dists(sq_norms, twice_x, centers)[np.arange(n), labels]))
+        sse = float(np.sum(d2[labels, np.arange(n)]))
         if sse < best_sse:
             best_labels, best_sse = labels, sse
     return best_labels + 1

@@ -101,6 +101,16 @@ class MixtureModel:
         object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _trusted(cls, mus, lams, weights, concentration_mode: str) -> "MixtureModel":
+        """A model on fresh C-ordered float arrays that pass every check, frozen in place."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "concentration_mode", concentration_mode)
+        for name, a in (("mus", mus), ("lams", lams), ("weights", weights)):
+            a.setflags(write=False)
+            object.__setattr__(model, name, a)
+        return model
+
     @property
     def K(self) -> int:
         return self.mus.shape[0]
@@ -186,13 +196,15 @@ class EMReport:
 
 
 def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
-    """(K, N) matrix of log pi_k + log f_k(x_n)."""
-    lams = model.lams
-    d2 = np.square(_angles(model.mus, data)[1])
-    log_z = _log_partition_many(model.p, lams)
+    """(K, N) matrix of log pi_k + log f_k(x_n), built in the buffer of the angles."""
+    out = _angles(model.mus, data)[1]
+    out *= out
+    out *= 0.5 * model.lams[:, None]
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.weights)
-    return log_pi[:, None] - 0.5 * lams[:, None] * d2 - log_z[:, None]
+    np.subtract(log_pi[:, None], out, out=out)
+    out -= _log_partition_many(model.p, model.lams)[:, None]
+    return out
 
 
 def _posterior(x: np.ndarray, model: MixtureModel):
@@ -200,11 +212,11 @@ def _posterior(x: np.ndarray, model: MixtureModel):
     log sum_k pi_k f_k(x_n)."""
     if x.shape[1] != model.p + 1:
         raise ValueError("points and model must live on the same sphere")
-    log_joint = _log_joint(x, model)
-    peak = log_joint.max(axis=0)
-    joint = np.exp(log_joint - peak)  # each point's largest term is exp(0) = 1
+    joint = _log_joint(x, model)
+    peak = joint.max(axis=0)
+    np.exp(np.subtract(joint, peak, out=joint), out=joint)  # a point's largest term is exp(0)
     total = joint.sum(axis=0)
-    return joint / total, peak + np.log(total)
+    return np.divide(joint, total, out=joint), peak + np.log(total)
 
 
 def e_step(data, model: MixtureModel) -> np.ndarray:
@@ -266,13 +278,14 @@ def m_step(
         raise ValueError("gamma must be an (n, K) matrix with one row per observation")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gamma must be finite and non-negative")
-    return _m_step(x, np.ascontiguousarray(g.T), concentration_mode,
-                   frechet_cfg or FrechetConfig(), conc_cfg or ConcentrationConfig())
+    m = _m_step(x, np.ascontiguousarray(g.T), concentration_mode,
+                frechet_cfg or FrechetConfig(), conc_cfg or ConcentrationConfig())
+    return MixtureModel(m.mus, m.lams, m.weights, concentration_mode)  # caller's rows and mode
 
 
 def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg) -> MixtureModel:
-    """:func:`m_step` on checked unit rows ``x`` and a finite, non-negative (K, n) ``g``;
-    the empty-cluster test stays as the backstop of :func:`fit_em`'s reseeding."""
+    """:func:`m_step`, its model not re-checked, on unit rows ``x``, a non-negative (K, n) ``g``
+    whose columns sum to one and a valid mode; the empty-cluster test backs up reseeding."""
     n = x.shape[0]
     col = g.sum(axis=1)
     if np.any(col <= _EMPTY_COLUMN_FRACTION * n):
@@ -300,7 +313,7 @@ def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg) -> MixtureModel
         lams = np.full(len(mus), _concentration(pooled, p, conc_cfg)[0])
     else:
         lams = _concentration_columns(dispersions, p, conc_cfg)[0]
-    return MixtureModel(unitize(mus), lams, col / n, concentration_mode)
+    return MixtureModel._trusted(unitize(mus), lams, col / n, concentration_mode)
 
 
 def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:

@@ -13,6 +13,8 @@ from snmix.distribution import (
     SNParams,
     _log_partition_many,
     _log_sphere_area,
+    _radial_cutoff,
+    _radial_moments,
     grad_log_partition,
     log_density,
     log_partition,
@@ -219,6 +221,32 @@ class TestGradLogPartition:
                 grad_log_partition(2, bad)
         with pytest.raises(ValueError, match="order"):
             grad_log_partition(2, 1.0, order=4)
+
+
+def reference_radial_moments(p, lams):
+    """The moment pass written with a fresh array per step, as before it worked in place."""
+    x, w = np.polynomial.legendre.leggauss(128)
+    upper = _radial_cutoff(p, lams)[:, None]
+    r = 0.5 * upper * (x + 1.0)
+    log_f = -0.5 * lams[:, None] * r * r
+    if p > 1:
+        log_f = log_f + (p - 1) * np.log(np.sin(r))
+    peak = log_f.max(axis=1)
+    mass = 0.5 * upper * w * np.exp(log_f - peak[:, None])
+    total = mass.sum(axis=1)
+    r2 = r * r
+    mean = (mass * r2).sum(axis=1) / total
+    dev = r2 - mean[:, None]
+    sq = mass * dev * dev
+    return mean, sq.sum(axis=1) / total, (sq * dev).sum(axis=1) / total
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 50])
+def test_radial_moments_equal_reference_bit_for_bit(p):
+    lams = np.array([0.0, 1e-3, 0.7, 3.0, 47.5, 1e3, 2.5e5, 1e8])
+    got, want = _radial_moments(p, lams), reference_radial_moments(p, lams)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSampler:

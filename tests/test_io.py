@@ -60,6 +60,71 @@ class TestLoadCSV:
         assert dataio.load_csv(path, has_header=True).shape == (1, 2)
 
 
+# inputs that NumPy's C reader rejects, or whose rows fail the checks, next to
+# plain files that it parses; the csv reader must agree with it on every one
+CSV_CORPUS = {
+    "plain": b"0.6,0.8\n-0.8,0.6\n",
+    "crlf": b"0.6,0.8\r\n0,1\r\n",
+    "blank_lines": b"\n0.6,0.8\n\n0,1\n\n",
+    "whitespace_lines": b"0.6,0.8\n   \n0,1\n \t \n",
+    "blank_cells_line": b"0.6,0.8\n , \n0,1\n",
+    "no_final_newline": b"0.6,0.8\n0,1",
+    "spaces_around_values": b" 0.6 , 0.8 \n0 ,1\n",
+    "quoted_fields": b'"0.6",0.8\n0,"1"\n',
+    "underscore_digits": b"0.6,0.8\n1_0,0\n",
+    "plus_sign": b"+0.6,0.8\n0,+1\n",
+    "bom": b"\xef\xbb\xbf0.6,0.8\n0,1\n",
+    "hash_line": b"# x,y\n0.6,0.8\n",
+    "hash_after_value": b"0.6,0.8 # c\n0,1\n",
+    "nan": b"0.6,0.8\nnan,1\n",
+    "inf": b"inf,0\n0,1\n",
+    "infinity": b"0,1\n-infinity,0\n",
+    "trailing_comma": b"0.6,0.8,\n0,1,\n",
+    "semicolons": b"0.6;0.8\n0;1\n",
+    "unicode_digit": "\u0661,0\n0,1\n".encode(),
+    "ragged": b"0.6,0.8\n0,1,0\n",
+    "non_unit": b"3,4\n0,1\n0,2\n",
+    "zero_row": b"0,0\n0,1\n",
+    "one_column": b"1\n-1\n",
+    "empty": b"",
+    "only_blank_lines": b"\n\r\n\n",
+}
+
+
+def load_outcome(path, normalize):
+    """The array's bytes and shape, or the ValueError's text."""
+    try:
+        x = dataio.load_csv(path, normalize=normalize)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", x.tobytes(), x.shape, x.dtype.str
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["unit", "normalize"])
+@pytest.mark.parametrize("name", sorted(CSV_CORPUS))
+def test_csv_fast_path_matches_csv_reader(tmp_path, monkeypatch, name, normalize):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(CSV_CORPUS[name])
+    fast = load_outcome(path, normalize)
+
+    def rejected(*args, **kwargs):
+        raise ValueError("C reader off")
+
+    monkeypatch.setattr(np, "loadtxt", rejected)
+    assert fast == load_outcome(path, normalize)
+
+
+def test_plain_csv_skips_the_csv_reader(tmp_path, monkeypatch):
+    path = tmp_path / "pts.csv"
+    path.write_text("0.6,0.8\n0,1\n")
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the csv module parsed a plain file")
+
+    monkeypatch.setattr(dataio.csv, "reader", unused)
+    np.testing.assert_array_equal(dataio.load_csv(path), [[0.6, 0.8], [0.0, 1.0]])
+
+
 class TestRoundTrips:
     def test_points_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -67,6 +132,16 @@ class TestRoundTrips:
         path = tmp_path / "pts.csv"
         dataio.save_points(path, pts)
         np.testing.assert_array_equal(dataio.load_csv(path), pts)
+
+    @pytest.mark.parametrize(
+        "labels", [np.array([1, 2, 2, 3, 1]), [3, -1, 12], np.array([1.9, 2.0]), []],
+        ids=["array", "list", "floats", "empty"],
+    )
+    def test_labels_file_bytes(self, tmp_path, labels):
+        # one write of the joined lines, byte for byte the file of a write per label
+        path = tmp_path / "labels.txt"
+        dataio.save_labels(path, labels)
+        assert path.read_text() == "".join(f"{int(v)}\n" for v in np.asarray(labels))
 
     def test_labels_round_trip(self, tmp_path):
         labels = np.array([1, 2, 2, 3, 1])

@@ -1,6 +1,7 @@
 """Clustering quality indices and baseline clusterers."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -214,3 +215,81 @@ def test_member_means_equal_reference_bit_for_bit(seed):
     counts = np.bincount(labels, minlength=k)
     got = _member_means(np.ascontiguousarray(x.T), labels, counts)
     np.testing.assert_array_equal(got, reference_member_means(x, labels, counts))
+
+
+def reference_lloyd(x, k, seed, centre):
+    """The (N, k) Lloyd loop the component-major kernel replaced: the distances
+    ||x||^2 - 2 x @ c.T + ||c||^2 with ``argmin`` over the short k axis, and the
+    empty-cluster repair written one cluster and one point at a time."""
+    from snmix.metrics import _MAX_ITER, _RESTARTS
+
+    n = len(x)
+    rng = np.random.default_rng(seed)
+    sq_norms, twice_x = np.sum(x * x, axis=1)[:, None], 2.0 * x
+
+    def sq_dists(centers):
+        return sq_norms - twice_x @ centers.T + np.sum(centers * centers, axis=1)[None, :]
+
+    best_labels, best_sse = None, np.inf
+    for _ in range(_RESTARTS):
+        centers = x[rng.choice(n, size=k, replace=False)].copy()
+        labels = np.full(n, -1)
+        for _ in range(_MAX_ITER):
+            d2 = sq_dists(centers)
+            new = np.argmin(d2, axis=1)
+            for j in range(k):
+                if not np.any(new == j):
+                    # the worst-served point of a cluster that keeps a member
+                    sizes = np.bincount(new, minlength=k)
+                    served = [d2[i, new[i]] if sizes[new[i]] > 1 else -np.inf for i in range(n)]
+                    new[int(np.argmax(served))] = j
+            if np.array_equal(new, labels):
+                break
+            labels = new
+            counts = np.bincount(labels, minlength=k)
+            centers = centre(x, reference_member_means(x, labels, counts), centers)
+        sse = float(np.sum(sq_dists(centers)[np.arange(n), labels]))
+        if sse < best_sse:
+            best_labels, best_sse = labels, sse
+    return best_labels + 1
+
+
+def lloyd_case(seed):
+    """Points of one of three kinds, (x, k): continuous, an integer grid (exact
+    distance ties) or duplicate blocks (empty clusters at the start)."""
+    rng = np.random.default_rng([211, seed])
+    n, d, k = int(rng.integers(6, 300)), int(rng.integers(2, 6)), int(rng.integers(1, 7))
+    kind = seed % 3
+    if kind == 0:
+        x = rng.standard_normal((n, d))
+    elif kind == 1:
+        x = rng.integers(-1, 2, (n, d)).astype(float)
+        x[np.all(x == 0.0, axis=1), 0] = 1.0
+    else:
+        x = np.repeat(unitize(rng.standard_normal((3, d))), n // 3 + 1, axis=0)[:n]
+        x[: n // 5] = unitize(rng.standard_normal((n // 5, d)))
+    return x, k
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_lloyd_equals_reference_bit_for_bit(seed):
+    from snmix.metrics import _lloyd, _unit_mean_centre
+
+    x, k = lloyd_case(seed)
+    for points, centre in ((x, lambda _x, means, _centers: means), (unitize(x), _unit_mean_centre)):
+        got = _lloyd(points, k, seed, centre)
+        want = reference_lloyd(points, k, seed, centre)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("cluster", [kmeans, spherical_kmeans], ids=["kmeans", "spherical_kmeans"])
+def test_two_empty_clusters_repaired_without_warning(cluster):
+    # restarts that draw two or three copies of the pole as centres leave two
+    # clusters empty at once; handing both the same point left one of them
+    # empty, and its mean was 0 / 0
+    x = np.vstack([np.tile([0.0, 0.0, 1.0], (20, 1)),
+                   unitize(np.random.default_rng(0).standard_normal((5, 3)))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = cluster(x, 3, seed=0)
+    assert sorted(set(labels.tolist())) == [1, 2, 3]

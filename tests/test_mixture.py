@@ -17,7 +17,15 @@ from snmix.estimation import (
     fit_sn,
     weighted_frechet_mean,
 )
-from snmix.geometry import SpherePoint, batch_exp, batch_project, geodesic_distance, unitize
+from snmix.distribution import _log_partition_many
+from snmix.geometry import (
+    SpherePoint,
+    _angles,
+    batch_exp,
+    batch_project,
+    geodesic_distance,
+    unitize,
+)
 from snmix.metrics import kmeans
 from snmix.mixture import (
     EMConfig,
@@ -25,6 +33,7 @@ from snmix.mixture import (
     MixtureModel,
     _init_from_kmeans,
     _log_joint,
+    _m_step,
     _posterior,
     e_step,
     fit_em,
@@ -79,6 +88,21 @@ class TestMixtureModel:
             assert a.dtype == float and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.5
+
+    @pytest.mark.parametrize("mode", ["heterogeneous", "homogeneous"])
+    def test_m_step_model_equals_checked_build(self, mode):
+        # the M-step freezes the arrays it has just built instead of checking
+        # and copying them; the checked constructor must give the same model
+        x, _ = simulate.household_mix(seed=2)
+        gamma = e_step(x, fit_em(x, EMConfig(K=3, seed=2, max_iter=3)).model).T
+        model = _m_step(x, np.ascontiguousarray(gamma), mode,
+                        FrechetConfig(), ConcentrationConfig())
+        checked = MixtureModel(model.mus, model.lams, model.weights, model.concentration_mode)
+        assert model.to_dict() == checked.to_dict()
+        for name in ("mus", "lams", "weights"):
+            a, b = getattr(model, name), getattr(checked, name)
+            assert a.tobytes() == b.tobytes() and (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.flags.c_contiguous and not a.flags.writeable
 
     def test_keeps_caller_arrays_apart(self):
         mus, lams = np.eye(3)[:2].copy(), np.array([3.0, 8.0])
@@ -171,6 +195,25 @@ class TestPosterior:
         np.testing.assert_allclose(row_loglik, ref, rtol=1e-12, atol=0.0)
         if model.weights.min() == 0.0:
             assert np.all(gamma[model.weights == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_reference_bit_for_bit(self, seed):
+        # the expressions of the kernel before it worked in the angles' buffer
+        rng = np.random.default_rng([59, seed])
+        k, p = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        model = MixtureModel(unitize(rng.standard_normal((k, p + 1))),
+                             rng.uniform(0.0, 300.0, k), rng.dirichlet(np.ones(k)))
+        x = unitize(rng.standard_normal((int(rng.integers(1, 400)), p + 1)))
+        d2 = np.square(_angles(model.mus, x)[1])
+        log_joint = (np.log(model.weights)[:, None] - 0.5 * model.lams[:, None] * d2
+                     - _log_partition_many(p, model.lams)[:, None])
+        peak = log_joint.max(axis=0)
+        joint = np.exp(log_joint - peak)
+        total = joint.sum(axis=0)
+        gamma, row_loglik = _posterior(x, model)
+        np.testing.assert_array_equal(gamma, joint / total)
+        np.testing.assert_array_equal(row_loglik, peak + np.log(total))
+        np.testing.assert_array_equal(_log_joint(x, model), log_joint)
 
     @pytest.mark.parametrize("call", [e_step, log_likelihood], ids=["e_step", "log_likelihood"])
     def test_points_and_model_on_different_spheres(self, call):
@@ -278,6 +321,16 @@ class TestMStep:
         gamma[4, 1] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             m_step(pts, gamma)
+
+    def test_gamma_rows_must_sum_to_one(self):
+        pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 5.0), 30, 2)
+        with pytest.raises(ValueError, match="sum to 1"):
+            m_step(pts, np.ones((30, 2)))
+
+    def test_unknown_concentration_mode_rejected(self):
+        pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 5.0), 30, 2)
+        with pytest.raises(ValueError, match="concentration_mode"):
+            m_step(pts, np.full((30, 2), 0.5), concentration_mode="bogus")
 
 
 class TestLogLikelihood:
