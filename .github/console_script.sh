@@ -2,7 +2,8 @@
 # Drive the installed `snmix` entry point end to end, failing on any non-zero
 # exit: simulate, the EM and both k-means clusterers (a plain input goes
 # through NumPy's C CSV reader, a --has-header input through the csv module),
-# then sampling from the saved model and a fit of the draws.
+# then sampling from the saved model and a fit of the draws. An overfit K=4
+# soft fit guards the warm-started M-steps by their inner iteration counts.
 set -euo pipefail
 d=$(mktemp -d)
 snmix simulate --scenario large-mix --seed 1 --output "$d/lm"
@@ -14,5 +15,15 @@ for algorithm in kmeans spkmeans; do
     --output "$d/$algorithm-header"
   cmp "$d/$algorithm.labels.txt" "$d/$algorithm-header.labels.txt"
 done
+snmix cluster --input "$d/lm.data.csv" -K 4 --seed 1 --output "$d/k4"
+# cold M-steps take 5 Frechet and 4 concentration iterations per sweep here
+python - "$d/k4.report.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+per_sweep = {k: report[k] / report["iterations"]
+             for k in ("frechet_iterations", "concentration_iterations")}
+print("inner iterations per sweep", per_sweep)
+sys.exit(max(per_sweep.values()) > 3)
+EOF
 snmix sample --model "$d/run.model.json" -n 500 --seed 2 --output "$d/draws.csv"
 snmix fit --input "$d/draws.csv" --output "$d/fit.json"

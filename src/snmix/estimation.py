@@ -153,9 +153,10 @@ def _scale_columns(W: np.ndarray, total: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dispersions(points: np.ndarray, W: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """Weighted dispersion 1/2 sum_n W[k, n] d^2(x_n, mus[k]) for every component row k."""
-    return 0.5 * (W * np.square(_angles(mus, points)[1])).sum(axis=1)
+def _dispersions(W: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Weighted dispersion 1/2 sum_n W[k, n] theta[k, n]^2 for every component row k, from
+    the (K, n) distances ``theta`` of the points to the locations (see :func:`_angles`)."""
+    return 0.5 * (W * np.square(theta)).sum(axis=1)
 
 
 def _bb_trial(mu, mean_log, prev, alpha):
@@ -195,12 +196,12 @@ def _armijo_columns(points, W, mus, mean_log, grad_norm, theta, alpha):
     Returns (new, C, theta, alpha): each column's new point with its cosines,
     angles and step.
     """
-    f0 = 0.5 * (W * np.square(theta)).sum(axis=1)
+    f0 = _dispersions(W, theta)
     new = None
     for _ in range(_ARMIJO_MAX_HALVINGS):
         cand = unitize(batch_exp(mus, 2.0 * alpha[:, None] * mean_log))
         C_cand, theta_cand = _angles(cand, points)
-        f = 0.5 * (W * np.square(theta_cand)).sum(axis=1)
+        f = _dispersions(W, theta_cand)
         ok = f <= f0 - 0.5 * _ARMIJO_C * alpha * np.square(grad_norm)
         if new is None:
             if ok.all():
@@ -237,13 +238,22 @@ def _log_factor(C: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.divide(np.maximum(theta, _TINY), C, out=C)
 
 
-def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
+def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig, offsets=None):
     """Weighted Frechet means of all K rows of the (K, n) weights ``W`` at once.
 
     Returns (mus (K, p+1), iterations (K,), converged (K,)). Every component
     runs the single-mean gradient iteration with its own stop tests and
-    iteration count, and is frozen once it stops. With C = mus @ x.T and
-    theta = arccos C, the weighted mean of the log maps
+    iteration count, and is frozen once it stops. Each starts at its
+    normalized weighted extrinsic mean m0, which must not vanish.
+
+    ``offsets``, a writable (K, p+1) array, warm-starts a solve on weights
+    near those of an earlier one: a row with a nonzero offset starts at
+    unitize(m0 + offset) instead (a zero row starts at m0 itself), and on
+    return each row holds its new gap mus - m0. The Frechet mean moves with
+    the weights much as m0 does, so the gap carries over better than the last
+    mean itself.
+
+    With C = mus @ x.T and theta = arccos C, the weighted mean of the log maps
     sum_n W_kn theta_kn / sin(theta_kn) (x_n - C_kn mu_k) is
     F @ x - (sum_n F_kn C_kn) mu_k with F = W theta / sin(theta). Under the
     line search each iteration runs :func:`_armijo_columns` from the
@@ -255,7 +265,12 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
     if np.any(norm0 < 1e-8):
         raise ValueError("ill-posed initialization: weighted extrinsic mean is numerically zero")
     k = W.shape[0]
-    mus = m0 / norm0[:, None]
+    m0 /= norm0[:, None]
+    mus = m0.copy()
+    if offsets is not None:
+        warm = offsets.any(axis=1)
+        if warm.any():
+            mus[warm] = unitize(m0[warm] + offsets[warm])
     iterations = np.full(k, cfg.max_iter)
     converged = np.zeros(k, dtype=bool)
     search = cfg.step_rule == "line_search"
@@ -313,6 +328,8 @@ def _frechet_columns(points: np.ndarray, W: np.ndarray, cfg: FrechetConfig):
             if active.size == 0:
                 break
     mus[active] = mu
+    if offsets is not None:
+        np.subtract(mus, m0, out=offsets)
     return mus, iterations, converged
 
 
@@ -352,7 +369,7 @@ def concentration_objective(lam: float, dispersion: float, p: int) -> float:
     return dispersion * float(lam) + log_partition(p, float(lam))
 
 
-def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
+def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig, start=None):
     """Concentration roots for a 1-D array of dispersions at once.
 
     Returns (lams, iterations, converged), each of the input's length. Every
@@ -360,7 +377,10 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     derivatives of the objective g(lam) = d lam + log_partition(p, lam),
     d - E[r^2]/2, Var[r^2]/4 and -E[(r^2 - E[r^2])^3]/8, and stops on its own
     test |step| < epsilon * max(1, lam). One :func:`_radial_moments` call per
-    iteration gives the moments of all entries still running.
+    iteration gives the moments of all entries still running. An entry starts
+    at the moment match p / (2 d), capped at LAMBDA_MAX / 2, or at its
+    ``start`` (an array of the input's length, such as the roots for nearby
+    dispersions) where that lies in (0, LAMBDA_MAX / 2).
     """
     p = _validate_dim(p)
     d = np.asarray(dispersions, dtype=float)
@@ -373,6 +393,9 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig):
     halley = cfg.method == "halley"
     # Moment-matched start: E[d^2] ~ p / lam for concentrated data.
     lams = np.minimum(p / (2.0 * d), 0.5 * LAMBDA_MAX)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        lams = np.where((start > 0.0) & (start < 0.5 * LAMBDA_MAX), start, lams)
     iterations = np.full(d.shape, _CONCENTRATION_MAX_ITER)
     converged = np.zeros(d.shape, dtype=bool)
     # entries still iterating, with their concentrations and dispersions
@@ -441,7 +464,7 @@ def fit_sn(
     frechet_cfg = frechet_cfg or FrechetConfig()
     conc_cfg = conc_cfg or ConcentrationConfig()
     mu, it_mu, conv_mu = _frechet(x, w, frechet_cfg)
-    dispersion = float(_dispersions(x, w[None], mu[None])[0])
+    dispersion = float(_dispersions(w[None], _angles(mu[None], x)[1])[0])
     # d(x, mu) < pi/2 exactly when <x, mu> > 0
     support_ok = bool(np.all(x @ mu > 0.0))
     lam, it_lam, conv_lam = _concentration(dispersion, x.shape[1] - 1, conc_cfg)

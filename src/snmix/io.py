@@ -74,8 +74,14 @@ def _checked(x: np.ndarray, row_numbers, path, normalize: bool) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         bad = [row_numbers[i] for i in np.unique(np.nonzero(~np.isfinite(x))[0])]
         raise ValueError(f"non-finite values at rows {bad} of {path}")
-    norms = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):  # a coordinate above about 1e154 squares to inf
+        norms = np.linalg.norm(x, axis=1)
     if normalize:
+        huge = np.isinf(norms)
+        if np.any(huge):
+            # scaled by their largest |coordinate|, such rows have a finite norm
+            x[huge] /= np.abs(x[huge]).max(axis=1)[:, None]
+            norms[huge] = np.linalg.norm(x[huge], axis=1)
         zero = norms < _UNIT_TOL
         if np.any(zero):
             bad = [row_numbers[i] for i in np.flatnonzero(zero)]
@@ -146,6 +152,8 @@ def save_report(
         "iterations": int(report.iterations),
         "converged": bool(report.converged),
         "reseeds": int(report.reseeds),
+        "frechet_iterations": int(report.frechet_iterations),
+        "concentration_iterations": int(report.concentration_iterations),
     }
     if timing_seconds is not None:
         doc["timing_seconds"] = float(timing_seconds)

@@ -26,7 +26,6 @@ from .estimation import (
     FrechetConfig,
     _check_count,
     _check_tolerance,
-    _concentration,
     _concentration_columns,
     _dispersions,
     _frechet_columns,
@@ -185,7 +184,9 @@ class EMReport:
     """Outcome of one EM run. ``gamma`` is the assignment of the returned model's
     posterior; ``loglik_trace`` holds the initial log-likelihood and one per M-step
     (``iterations + 1`` entries), the last being the returned model's unless the
-    closing E-step reseeded it; ``reseeds`` counts empty-cluster recoveries."""
+    closing E-step reseeded it; ``reseeds`` counts empty-cluster recoveries.
+    ``frechet_iterations`` and ``concentration_iterations`` add up, over the
+    M-steps, the largest per-component iteration count of each solve."""
 
     model: MixtureModel
     gamma: np.ndarray
@@ -193,11 +194,31 @@ class EMReport:
     iterations: int
     converged: bool
     reseeds: int = 0
+    frechet_iterations: int = 0
+    concentration_iterations: int = 0
 
 
-def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
-    """(K, N) matrix of log pi_k + log f_k(x_n), built in the buffer of the angles."""
-    out = _angles(model.mus, data)[1]
+@dataclass
+class _WarmStart:
+    """What each M-step of a fit leaves for the next sweep (see :func:`fit_em`).
+
+    ``offsets`` holds each component's gap between its last Frechet mean and
+    its normalized extrinsic mean, where its next Frechet solve starts (a
+    zero row starts cold); ``angles`` the cosines and angles of the points at
+    the last model's locations, for the E-step that follows (None after a
+    cold M-step); the two counts are those of :class:`EMReport`.
+    """
+
+    offsets: np.ndarray
+    angles: tuple | None = None
+    frechet_iterations: int = 0
+    concentration_iterations: int = 0
+
+
+def _log_joint(data: np.ndarray, model: MixtureModel, angles=None) -> np.ndarray:
+    """(K, N) matrix of log pi_k + log f_k(x_n), built in the buffer of the angles:
+    ``angles``, the (cosines, angles) of the points at ``model.mus``, where given."""
+    out = (_angles(model.mus, data) if angles is None else angles)[1]
     out *= out
     out *= 0.5 * model.lams[:, None]
     with np.errstate(divide="ignore"):
@@ -207,12 +228,12 @@ def _log_joint(data: np.ndarray, model: MixtureModel) -> np.ndarray:
     return out
 
 
-def _posterior(x: np.ndarray, model: MixtureModel):
+def _posterior(x: np.ndarray, model: MixtureModel, angles=None):
     """(gamma, row_loglik) from one pass: the (K, N) responsibilities and, per point,
-    log sum_k pi_k f_k(x_n)."""
+    log sum_k pi_k f_k(x_n). Precomputed ``angles`` are overwritten (see :func:`_log_joint`)."""
     if x.shape[1] != model.p + 1:
         raise ValueError("points and model must live on the same sphere")
-    joint = _log_joint(x, model)
+    joint = _log_joint(x, model, angles)
     peak = joint.max(axis=0)
     np.exp(np.subtract(joint, peak, out=joint), out=joint)  # a point's largest term is exp(0)
     total = joint.sum(axis=0)
@@ -283,37 +304,56 @@ def m_step(
     return MixtureModel(m.mus, m.lams, m.weights, concentration_mode)  # caller's rows and mode
 
 
-def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg) -> MixtureModel:
+def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg, warm=None, lams=None):
     """:func:`m_step`, its model not re-checked, on unit rows ``x``, a non-negative (K, n) ``g``
-    whose columns sum to one and a valid mode; the empty-cluster test backs up reseeding."""
+    whose columns sum to one and a valid mode; the empty-cluster test backs up reseeding.
+
+    Inside a fit, the Frechet solve starts from the offsets in the :class:`_WarmStart`
+    ``warm``, which it updates, and the concentration solve from ``lams``, those of the
+    model being updated (see :func:`_assemble`); without them both start cold.
+    """
     n = x.shape[0]
     col = g.sum(axis=1)
     if np.any(col <= _EMPTY_COLUMN_FRACTION * n):
         raise ValueError("empty cluster: responsibilities carry no mass for some component")
     W = _scale_columns(g, col)
-    mus = _frechet_columns(x, W, frechet_cfg)[0]
-    return _assemble(x, W, mus, col, concentration_mode, conc_cfg)
+    mus, iterations, _ = _frechet_columns(x, W, frechet_cfg, None if warm is None else warm.offsets)
+    if warm is not None:
+        warm.frechet_iterations += int(iterations.max())
+    return _assemble(x, W, mus, col, concentration_mode, conc_cfg, warm, lams)
 
 
-def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg) -> MixtureModel:
+def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg, warm=None, lams=None):
     """Mixture on the rows ``x`` from (K, p+1) locations and (K, n) memberships ``W``
     whose rows sum to one.
 
     Weights are ``col / n``; concentrations come from each clipped dispersion (half the
     ``W``-weighted mean squared distance), or from their ``col``-weighted pool in
-    homogeneous mode.
+    homogeneous mode. Without ``lams`` the solve starts cold and the dispersions are
+    taken at ``mus`` as given, as :func:`snmix.estimation.fit_sn` does. With them the
+    solve starts at ``lams`` and the dispersions are taken at the model's unitized
+    locations, whose angles go to ``warm`` for the next E-step. ``warm`` also counts
+    the concentration iterations.
     """
     n, p = x.shape[0], mus.shape[1] - 1
-    dispersions = _dispersions(x, W, mus)
+    unit = unitize(mus)
+    angles = _angles(mus if lams is None else unit, x)
+    dispersions = _dispersions(W, angles[1])
     # collapsed clusters would otherwise raise as degenerate; cap instead
     dispersions = np.clip(dispersions, _DISPERSION_FLOOR, MAX_DISPERSION - 1e-9)
     if concentration_mode == "homogeneous":
         pooled = float(np.sum(dispersions * col) / n)
         pooled = min(max(pooled, _DISPERSION_FLOOR), MAX_DISPERSION - 1e-9)
-        lams = np.full(len(mus), _concentration(pooled, p, conc_cfg)[0])
+        root, iterations, _ = _concentration_columns(
+            [pooled], p, conc_cfg, None if lams is None else lams[:1]
+        )
+        new = np.full(len(mus), root[0])
     else:
-        lams = _concentration_columns(dispersions, p, conc_cfg)[0]
-    return MixtureModel._trusted(unitize(mus), lams, col / n, concentration_mode)
+        new, iterations, _ = _concentration_columns(dispersions, p, conc_cfg, lams)
+    if warm is not None:
+        warm.concentration_iterations += int(iterations.max())
+        warm.angles = None if lams is None else angles
+    return MixtureModel._trusted(unit, new, col / n, concentration_mode)
 
 
 def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:
@@ -337,13 +377,15 @@ def _init_from_kmeans(x: np.ndarray, cfg: EMConfig, seed) -> MixtureModel:
     return _assemble(x, W, unitize(centroids), col, cfg.concentration_mode, cfg.concentration)
 
 
-def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):
+def _reseed_empty(x, model, gamma, row_loglik, assignment, rng, offsets):
     """Replace components whose (K, N) responsibility row lost all mass.
 
     Each dead component is moved onto the observation the current mixture
     explains worst (lowest ``row_loglik``), its concentration reset to the
-    median of the live ones, and the membership matrix recomputed under the
-    patched model.
+    median of the live ones (where its next concentration solve starts) and
+    its Frechet offset in ``offsets`` to zero (so its next Frechet solve
+    starts cold), and the membership matrix recomputed under the patched
+    model.
     """
     n = x.shape[0]
     reseeds = 0
@@ -359,7 +401,8 @@ def _reseed_empty(x, model, gamma, row_loglik, assignment, rng):
         if model.concentration_mode == "heterogeneous":
             lams[j] = np.median(np.delete(lams, j))
         w[j] = max(w[j], 1.0 / n)
-        model = MixtureModel(mus, lams, w / w.sum(), model.concentration_mode)
+        offsets[j] = 0.0
+        model = MixtureModel._trusted(mus, lams, w / w.sum(), model.concentration_mode)
         gamma, row_loglik = _posterior(x, model)
         gamma = _apply_assignment(gamma, assignment, rng)
         reseeds += 1
@@ -374,8 +417,12 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     assignment heuristic, then M-step; the loop stops once the membership
     matrix stalls (see :class:`EMConfig`) or ``max_iter`` M-steps have run,
     and ends on an E-step of the returned model. Every M-step solves at the
-    configured tolerances, so a K=1 run reproduces :func:`snmix.estimation.fit_sn`
-    exactly: its first M-step is ``fit_sn``'s solve and gamma stays all ones.
+    configured tolerances. The first starts cold, as ``fit_sn`` does, so a K=1
+    run reproduces :func:`snmix.estimation.fit_sn` exactly (gamma stays all
+    ones). Each later one starts where the last ended: every Frechet mean at
+    its normalized extrinsic mean plus the last gap between the two, every
+    concentration at its current value, which takes the inner solvers fewer
+    iterations; the E-step reuses the angles of the M-step's dispersions.
     """
     x = _unit_rows(data)
     n = x.shape[0]
@@ -392,16 +439,20 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     threshold = cfg.epsilon_gamma * math.sqrt(n * cfg.K)
     gamma = None
     reseeds = 0
+    warm = _WarmStart(np.zeros(model.mus.shape))
     for t in range(cfg.max_iter + 1):
         gamma_prev = gamma
         gamma = _apply_assignment(posterior, cfg.assignment, rng)
-        model, gamma, n_new = _reseed_empty(x, model, gamma, row_loglik, cfg.assignment, rng)
+        model, gamma, n_new = _reseed_empty(
+            x, model, gamma, row_loglik, cfg.assignment, rng, warm.offsets
+        )
         reseeds += n_new
         converged = gamma_prev is not None and float(np.linalg.norm(gamma - gamma_prev)) < threshold
         if converged or t == cfg.max_iter:
             break
-        model = _m_step(x, gamma, cfg.concentration_mode, cfg.frechet, cfg.concentration)
-        posterior, row_loglik = _posterior(x, model)
+        model = _m_step(x, gamma, cfg.concentration_mode, cfg.frechet, cfg.concentration,
+                        warm, None if t == 0 else model.lams)
+        posterior, row_loglik = _posterior(x, model, warm.angles)
         trace.append(float(np.sum(row_loglik)))
     return EMReport(
         model=model,
@@ -410,6 +461,8 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
         iterations=len(trace) - 1,
         converged=converged,
         reseeds=reseeds,
+        frechet_iterations=warm.frechet_iterations,
+        concentration_iterations=warm.concentration_iterations,
     )
 
 

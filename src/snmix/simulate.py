@@ -8,7 +8,7 @@ import numpy as np
 
 from .distribution import SNParams, sample as sn_sample
 from .estimation import ConcentrationConfig, FrechetConfig, _concentration, _dispersions, _frechet
-from .geometry import batch_exp, batch_log, geodesic_distance, unitize
+from .geometry import _angles, batch_exp, batch_log, geodesic_distance, unitize
 
 __all__ = [
     "small_mix",
@@ -163,7 +163,7 @@ def estimation_benchmark(
                     if do_lam:
                         if mu_hat is None:
                             mu_hat, _, _ = _frechet(x, w, FrechetConfig(epsilon=eps))
-                        dispersion = float(_dispersions(x, w[None], mu_hat[None])[0])
+                        dispersion = float(_dispersions(w[None], _angles(mu_hat[None], x)[1])[0])
                         for method in ("newton", "halley"):
                             cfg = ConcentrationConfig(method=method, epsilon=eps)
                             t0 = time.perf_counter()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from snmix.distribution import SNParams, grad_log_partition, log_partition, sample
+from snmix.distribution import LAMBDA_MAX, SNParams, grad_log_partition, log_partition, sample
 from snmix.estimation import (
     MAX_DISPERSION,
     ConcentrationConfig,
@@ -514,10 +514,66 @@ class TestColumnSolvers:
         W[:, 9] = 0.0
         W[2] = 0.0
         W[2, 4] = 1.0  # a one-point component
-        got = _dispersions(pts, W, mus)
+        got = _dispersions(W, _angles(mus, pts)[1])
         for k in range(3):
             ref = 0.5 * np.sum(W[k] * np.square(geodesic_distance(pts, mus[k])))
             assert got[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+class TestWarmStarts:
+    """A solve started from an earlier solve on nearby inputs reaches the cold answer in no
+    more iterations, and a start it cannot use leaves the cold solve as it is."""
+
+    def test_frechet_offsets_reach_the_cold_answer(self):
+        cfg = FrechetConfig(epsilon=1e-11)  # both answers within 1e-9 of the exact mean
+        pts, W = three_cluster_weights()
+        offsets = np.zeros((W.shape[0], pts.shape[1]))
+        first, _, _ = _frechet_columns(pts, W, cfg, offsets)
+        # on return the offsets are the gaps to the normalized extrinsic means
+        np.testing.assert_array_equal(offsets, first - unitize(W @ pts))
+        # the next weights differ a little, as from one EM sweep to the next
+        W2 = W * np.random.default_rng(97).uniform(0.9, 1.1, W.shape)
+        W2 /= W2.sum(axis=1, keepdims=True)
+        cold, cold_it, cold_conv = _frechet_columns(pts, W2, cfg)
+        warm, warm_it, warm_conv = _frechet_columns(pts, W2, cfg, offsets)
+        assert cold_conv.all() and warm_conv.all()
+        np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-9)
+        assert np.all(warm_it <= cold_it) and warm_it.sum() < cold_it.sum(), (warm_it, cold_it)
+
+    @pytest.mark.parametrize("step_rule", ["fixed", "line_search"])
+    def test_zero_offsets_start_cold(self, step_rule):
+        cfg = FrechetConfig(step_rule=step_rule)
+        pts, W = three_cluster_weights()
+        cold = _frechet_columns(pts, W, cfg)
+        zero = _frechet_columns(pts, W, cfg, np.zeros((W.shape[0], pts.shape[1])))
+        for a, b in zip(cold, zero):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_concentration_start_reaches_the_cold_root(self, method):
+        # dispersions inside the uniform law's, whose moment match is a few steps off
+        cfg = ConcentrationConfig(method=method)
+        dispersions = np.array([0.3, 0.8, 1.2])
+        for p in (2, 4, 10):
+            start = _concentration_columns(dispersions, p, cfg)[0]
+            nearby = dispersions * np.array([1.0001, 0.9999, 1.0002])
+            cold, cold_it, _ = _concentration_columns(nearby, p, cfg)
+            warm, warm_it, converged = _concentration_columns(nearby, p, cfg, start)
+            assert converged.all()
+            np.testing.assert_allclose(warm, cold, rtol=1e-12, atol=0.0)
+            assert np.all(warm_it <= cold_it) and warm_it.sum() < cold_it.sum(), (warm_it, cold_it)
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_concentration_start_out_of_range_is_moment_matched(self, method):
+        # zero, negative, NaN and pinned (at least LAMBDA_MAX / 2) starts are not used
+        cfg = ConcentrationConfig(method=method)
+        dispersions = np.array([0.05, 0.21, 0.8, 1.2, 1e-9, 0.3])
+        start = np.array([0.0, -2.0, np.nan, 0.5 * LAMBDA_MAX, LAMBDA_MAX, np.inf])
+        for p in (1, 4):
+            cold = _concentration_columns(dispersions, p, cfg)
+            warm = _concentration_columns(dispersions, p, cfg, start)
+            for a, b in zip(cold, warm):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestConsistencyTrend:

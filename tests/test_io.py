@@ -1,6 +1,7 @@
 """Point, label, model, and report persistence."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -197,3 +198,44 @@ class TestRoundTrips:
         assert doc["criteria"] == {"bic": 1.0}
         assert doc["model"]["K"] == 1
         assert isinstance(doc["iterations"], int)
+        # the inner solvers' iteration counts, at least one per M-step
+        for key in ("frechet_iterations", "concentration_iterations"):
+            assert doc[key] == getattr(report, key) >= doc["iterations"]
+
+
+def csv_module_only(monkeypatch):
+    """Send every file through the csv-module path."""
+
+    def rejected(*args, **kwargs):
+        raise ValueError("C reader off")
+
+    monkeypatch.setattr(np, "loadtxt", rejected)
+
+
+@pytest.mark.parametrize("reader", ["c_reader", "csv_module"])
+class TestHugeCoordinates:
+    """Finite coordinates whose squares overflow: the norm of such a row is inf."""
+
+    def test_normalized_not_zeroed(self, tmp_path, monkeypatch, reader):
+        if reader == "csv_module":
+            csv_module_only(monkeypatch)
+        path = tmp_path / "pts.csv"
+        path.write_text("1e200,1e200\n0,1\n-3e300,4e300\n0.6,0.8\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = dataio.load_csv(path, normalize=True)
+        np.testing.assert_allclose(x[[0, 2]], [[0.5**0.5, 0.5**0.5], [-0.6, 0.8]], rtol=1e-15)
+        # every other row is divided by its plain norm, as before
+        assert x[1].tobytes() == np.array([0.0, 1.0]).tobytes()
+        plain = np.array([0.6, 0.8])
+        assert x[3].tobytes() == (plain / np.linalg.norm(plain)).tobytes()
+
+    def test_rejected_without_normalize(self, tmp_path, monkeypatch, reader):
+        if reader == "csv_module":
+            csv_module_only(monkeypatch)
+        path = tmp_path / "pts.csv"
+        path.write_text("0,1\n1e200,1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"rows \[2\] .* are not unit vectors"):
+                dataio.load_csv(path)

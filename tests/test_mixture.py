@@ -35,6 +35,7 @@ from snmix.mixture import (
     _log_joint,
     _m_step,
     _posterior,
+    _reseed_empty,
     e_step,
     fit_em,
     harden,
@@ -353,13 +354,23 @@ class TestLogLikelihood:
 
 class TestFitEM:
     def test_k1_equals_fit_sn(self):
-        pts = sample(SNParams(np.array([0.0, 0.0, 1.0]), 12.0), 150, 3)
-        report = fit_em(pts, EMConfig(K=1, seed=0))
-        ref = fit_sn(pts)
-        # bit for bit: the first M-step is fit_sn's solve and gamma stays all ones
-        np.testing.assert_array_equal(report.model.mus[0], ref.params.mu.coords)
-        assert report.model.lams[0] == ref.params.lam
-        assert report.iterations == 1 and report.converged
+        samples = [sample(SNParams(np.array([0.0, 0.0, 1.0]), 12.0), 150, 3)]
+        # the one M-step of a K=1 fit is cold and takes fit_sn's dispersion at the
+        # solver's location, also where unitize moves that location by an ulp
+        for seed in range(8):
+            rng = np.random.default_rng([41, seed])
+            mu = unitize(rng.standard_normal(int(rng.integers(2, 6))))
+            lam, n = float(rng.uniform(2.0, 40.0)), int(rng.integers(20, 200))
+            samples.append(sample(SNParams(mu, lam), n, rng))
+        for pts in samples:
+            report = fit_em(pts, EMConfig(K=1, seed=0))
+            ref = fit_sn(pts)
+            # bit for bit: the first M-step is fit_sn's solve and gamma stays all ones
+            np.testing.assert_array_equal(report.model.mus[0], ref.params.mu.coords)
+            assert report.model.lams[0] == ref.params.lam
+            assert report.iterations == 1 and report.converged
+            assert (report.frechet_iterations, report.concentration_iterations) == (
+                ref.iterations_mu, ref.iterations_lambda)
 
     def test_recovers_separated_clusters(self):
         from snmix.metrics import rand_index
@@ -456,9 +467,9 @@ class TestFitEM:
         calls = []
         original = mix._log_joint
 
-        def counting(x, model):
+        def counting(x, model, *angles):
             calls.append(None)
-            return original(x, model)
+            return original(x, model, *angles)
 
         monkeypatch.setattr(mix, "_log_joint", counting)
         rng = np.random.default_rng(19)
@@ -480,9 +491,9 @@ class TestFitEM:
         calls = []
         original = mix._frechet_columns
 
-        def counting(points, W, cfg):
+        def counting(points, W, cfg, *offsets):
             calls.append(W.shape[0])  # W is (K, N)
-            return original(points, W, cfg)
+            return original(points, W, cfg, *offsets)
 
         monkeypatch.setattr(mix, "_frechet_columns", counting)
         rng = np.random.default_rng(23)
@@ -508,6 +519,72 @@ class TestFitEM:
         report = fit_em(pts, EMConfig(K=3, seed=0), init_model=init)
         assert report.reseeds >= 1
         assert np.all(report.gamma.sum(axis=0) > 0.0)
+
+
+class TestWarmStartedEM:
+    """Every M-step of a fit but the first starts where the last one ended."""
+
+    @pytest.mark.parametrize("mode", ["heterogeneous", "homogeneous"])
+    def test_first_m_step_is_the_public_m_step(self, mode):
+        x, _ = simulate.household_mix(seed=3)
+        init = fit_em(x, EMConfig(K=3, seed=3, max_iter=2, concentration_mode=mode)).model
+        report = fit_em(x, EMConfig(K=3, seed=3, max_iter=1, concentration_mode=mode),
+                        init_model=init)
+        assert report.reseeds == 0
+        assert report.model.to_dict() == m_step(x, e_step(x, init), mode).to_dict()
+
+    def test_reseeded_component_restarts_cold(self):
+        rng = np.random.default_rng(47)
+        pts, _, mus = separated_sample(rng, 2, (40.0, 40.0), (60, 60))
+        model = MixtureModel([mus[0], mus[1], unitize(-(mus[0] + mus[1]))],
+                             [40.0, 30.0, 1e6], [0.45, 0.45, 0.10])
+        gamma, row_loglik = _posterior(pts, model)
+        gamma[2] = 0.0  # component 2 carries no mass
+        gamma /= gamma.sum(axis=0)
+        offsets = rng.uniform(-1e-3, 1e-3, (3, 3))
+        kept = offsets[:2].copy()
+        new, gamma, reseeds = _reseed_empty(pts, model, gamma, row_loglik, "soft", rng, offsets)
+        assert reseeds == 1 and gamma[2].sum() > 0.0
+        # its next Frechet solve starts at the extrinsic mean, its next
+        # concentration solve at the median of the live components
+        np.testing.assert_array_equal(offsets[2], 0.0)
+        np.testing.assert_array_equal(offsets[:2], kept)
+        assert new.lams[2] == 35.0
+        np.testing.assert_array_equal(new.mus[2], unitize(pts[np.argmin(row_loglik)]))
+        # the patched model is the one the checked constructor builds
+        checked = MixtureModel(new.mus, new.lams, new.weights, new.concentration_mode)
+        for name in ("mus", "lams", "weights"):
+            assert getattr(new, name).tobytes() == getattr(checked, name).tobytes()
+            assert not getattr(new, name).flags.writeable
+
+    def test_large_mix_inner_iterations(self):
+        # overfit K=4 runs all 200 sweeps; cold M-steps took 1000 Frechet and
+        # 800 concentration iterations here
+        x, _ = simulate.large_mix(seed=1)
+        report = fit_em(x, EMConfig(K=4, seed=1))
+        assert report.iterations == 200 and not report.converged
+        assert report.frechet_iterations <= 600
+        assert report.concentration_iterations <= 560
+
+    def test_e_step_reuses_the_m_step_angles(self, monkeypatch):
+        import snmix.mixture as mix
+
+        calls = []
+        original = mix._angles
+
+        def counting(a, b):
+            calls.append(None)
+            return original(a, b)
+
+        monkeypatch.setattr(mix, "_angles", counting)
+        rng = np.random.default_rng(19)
+        pts, _, _ = separated_sample(rng, 2, (18.0, 9.0), (90, 110))
+        report = fit_em(pts, EMConfig(K=2, seed=4, max_iter=6))
+        assert (report.iterations, report.reseeds) == (6, 0)
+        # the initializer's dispersions, the initial E-step, and the first M-step
+        # and its E-step; after that one set per sweep, shared by both steps
+        assert len(calls) == 4 + (report.iterations - 1)
+        assert report.loglik_trace[-1] == log_likelihood(pts, report.model)
 
 
 def per_cluster_init(x, cfg, seed):
