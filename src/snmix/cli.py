@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="maximum likelihood fit of one component")
     add_io(fit)
     fit.add_argument("--step-rule", choices=["fixed", "line-search"], default="fixed")
-    fit.add_argument("--method", choices=["newton", "halley"], default="newton")
+    fit.add_argument("--method", choices=["newton", "halley"], default=ConcentrationConfig.method)
     fit.add_argument("--eps", type=float, default=1e-8, help="stopping tolerance")
     fit.add_argument("--max-iter", type=int, default=500)
     fit.set_defaults(func=_cmd_fit)

@@ -45,8 +45,9 @@ def _check_lams(lams) -> None:
 class SNParams:
     """Location and concentration of one spherical normal component.
 
-    ``lam = 0`` is the uniform distribution on the sphere; it is accepted so
-    the flat limit can be evaluated directly. Fits always return lam > 0.
+    ``lam = 0`` is the uniform distribution on the sphere. A fit returns it for
+    data at least as dispersed as the uniform law, where the likelihood is
+    largest on the boundary lam = 0.
     """
 
     mu: SpherePoint
@@ -160,7 +161,21 @@ def _radial_moments(p: int, lams: np.ndarray):
     not checked: ``p`` must be a valid dimension and ``lams`` valid concentrations.
     """
     r, mass, _ = _radial_nodes(p, lams, DEFAULT_QUAD_ORDER)
+    return _node_moments(r, mass, mass.sum(axis=1))
+
+
+def _log_partition_moments(p: int, lams: np.ndarray):
+    """(log_z, mean, variance, moment_3) at every entry of ``lams`` from one pass over the
+    nodes: log_z bit for bit that of :func:`_log_partition_many`, the moments those of
+    :func:`_radial_moments`. Inputs are not checked, as there."""
+    r, mass, peak = _radial_nodes(p, lams, DEFAULT_QUAD_ORDER)
     total = mass.sum(axis=1)
+    return (_log_sphere_area(p) + peak + np.log(total), *_node_moments(r, mass, total))
+
+
+def _node_moments(r: np.ndarray, mass: np.ndarray, total: np.ndarray):
+    """Mean, variance and third central moment of r^2 from the nodes ``r`` (overwritten)
+    and their masses, whose row sums are ``total``."""
     dev = np.square(r, out=r)  # r^2, then its deviation from the mean
     mean = (mass * dev).sum(axis=1) / total
     dev -= mean[:, None]

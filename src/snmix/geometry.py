@@ -112,7 +112,9 @@ def _angles(x: np.ndarray, y: np.ndarray):
     """(n, k) cosines clip(x @ y.T) and their arccos, the geodesic distances
     between the rows of ``x`` and the rows of ``y``."""
     C = x @ y.T
-    np.clip(C, -1.0, 1.0, out=C)
+    # np.clip's arithmetic without its dispatch
+    np.maximum(C, -1.0, out=C)
+    np.minimum(C, 1.0, out=C)
     return C, np.arccos(C)
 
 

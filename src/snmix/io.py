@@ -154,6 +154,7 @@ def save_report(
         "reseeds": int(report.reseeds),
         "frechet_iterations": int(report.frechet_iterations),
         "concentration_iterations": int(report.concentration_iterations),
+        "unconverged_solves": int(report.unconverged_solves),
     }
     if timing_seconds is not None:
         doc["timing_seconds"] = float(timing_seconds)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import _check_lams, _log_partition_many, _sample
+from .distribution import _check_lams, _log_partition_many, _log_partition_moments, _sample
 from .estimation import (
     MAX_DISPERSION,
     ConcentrationConfig,
@@ -186,7 +186,9 @@ class EMReport:
     (``iterations + 1`` entries), the last being the returned model's unless the
     closing E-step reseeded it; ``reseeds`` counts empty-cluster recoveries.
     ``frechet_iterations`` and ``concentration_iterations`` add up, over the
-    M-steps, the largest per-component iteration count of each solve."""
+    M-steps, the largest per-component iteration count of each solve;
+    ``unconverged_solves`` counts the M-step solves (two per M-step) that left
+    some component at its iteration cap."""
 
     model: MixtureModel
     gamma: np.ndarray
@@ -196,6 +198,7 @@ class EMReport:
     reseeds: int = 0
     frechet_iterations: int = 0
     concentration_iterations: int = 0
+    unconverged_solves: int = 0
 
 
 @dataclass
@@ -206,34 +209,47 @@ class _WarmStart:
     its normalized extrinsic mean, where its next Frechet solve starts (a
     zero row starts cold); ``angles`` the cosines and angles of the points at
     the last model's locations, for the E-step that follows (None after a
-    cold M-step); the two counts are those of :class:`EMReport`.
+    cold M-step); ``moments`` the E-step's (lams, (mean, variance, moment_3))
+    of the radial law at the concentration array ``lams`` of its model, where
+    the next concentration solve starts (see :func:`_assemble`); the counts
+    are those of :class:`EMReport`.
     """
 
     offsets: np.ndarray
     angles: tuple | None = None
+    moments: tuple | None = None
     frechet_iterations: int = 0
     concentration_iterations: int = 0
+    unconverged_solves: int = 0
 
 
-def _log_joint(data: np.ndarray, model: MixtureModel, angles=None) -> np.ndarray:
+def _log_joint(data: np.ndarray, model: MixtureModel, angles=None, warm=None) -> np.ndarray:
     """(K, N) matrix of log pi_k + log f_k(x_n), built in the buffer of the angles:
-    ``angles``, the (cosines, angles) of the points at ``model.mus``, where given."""
+    ``angles``, the (cosines, angles) of the points at ``model.mus``, where given.
+    With the :class:`_WarmStart` ``warm``, the pass that gives log Z also leaves the
+    moments at ``model.lams`` in ``warm.moments``."""
     out = (_angles(model.mus, data) if angles is None else angles)[1]
     out *= out
     out *= 0.5 * model.lams[:, None]
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.weights)
     np.subtract(log_pi[:, None], out, out=out)
-    out -= _log_partition_many(model.p, model.lams)[:, None]
+    if warm is None:
+        log_z = _log_partition_many(model.p, model.lams)
+    else:
+        log_z, *moments = _log_partition_moments(model.p, model.lams)
+        warm.moments = (model.lams, moments)
+    out -= log_z[:, None]
     return out
 
 
-def _posterior(x: np.ndarray, model: MixtureModel, angles=None):
+def _posterior(x: np.ndarray, model: MixtureModel, angles=None, warm=None):
     """(gamma, row_loglik) from one pass: the (K, N) responsibilities and, per point,
-    log sum_k pi_k f_k(x_n). Precomputed ``angles`` are overwritten (see :func:`_log_joint`)."""
+    log sum_k pi_k f_k(x_n). Precomputed ``angles`` are overwritten and ``warm`` gets
+    the moments (see :func:`_log_joint`)."""
     if x.shape[1] != model.p + 1:
         raise ValueError("points and model must live on the same sphere")
-    joint = _log_joint(x, model, angles)
+    joint = _log_joint(x, model, angles, warm)
     peak = joint.max(axis=0)
     np.exp(np.subtract(joint, peak, out=joint), out=joint)  # a point's largest term is exp(0)
     total = joint.sum(axis=0)
@@ -310,16 +326,20 @@ def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg, warm=None, lam
 
     Inside a fit, the Frechet solve starts from the offsets in the :class:`_WarmStart`
     ``warm``, which it updates, and the concentration solve from ``lams``, those of the
-    model being updated (see :func:`_assemble`); without them both start cold.
+    model being updated (see :func:`_assemble`); without them both start cold. ``warm``
+    also counts the iterations and the unconverged solves.
     """
     n = x.shape[0]
     col = g.sum(axis=1)
     if np.any(col <= _EMPTY_COLUMN_FRACTION * n):
         raise ValueError("empty cluster: responsibilities carry no mass for some component")
     W = _scale_columns(g, col)
-    mus, iterations, _ = _frechet_columns(x, W, frechet_cfg, None if warm is None else warm.offsets)
+    mus, iterations, converged = _frechet_columns(
+        x, W, frechet_cfg, None if warm is None else warm.offsets
+    )
     if warm is not None:
         warm.frechet_iterations += int(iterations.max())
+        warm.unconverged_solves += not converged.all()
     return _assemble(x, W, mus, col, concentration_mode, conc_cfg, warm, lams)
 
 
@@ -331,9 +351,11 @@ def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg, warm=None, lams
     ``W``-weighted mean squared distance), or from their ``col``-weighted pool in
     homogeneous mode. Without ``lams`` the solve starts cold and the dispersions are
     taken at ``mus`` as given, as :func:`snmix.estimation.fit_sn` does. With them the
-    solve starts at ``lams`` and the dispersions are taken at the model's unitized
-    locations, whose angles go to ``warm`` for the next E-step. ``warm`` also counts
-    the concentration iterations.
+    solve starts at ``lams``, its first iteration on the moments that the E-step left
+    in ``warm`` where they belong to this very array (a reseed builds a new one), and
+    the dispersions are taken at the model's unitized locations, whose angles go to
+    ``warm`` for the next E-step. ``warm`` also counts the concentration iterations
+    and an unconverged solve.
     """
     n, p = x.shape[0], mus.shape[1] - 1
     unit = unitize(mus)
@@ -341,17 +363,22 @@ def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg, warm=None, lams
     dispersions = _dispersions(W, angles[1])
     # collapsed clusters would otherwise raise as degenerate; cap instead
     dispersions = np.clip(dispersions, _DISPERSION_FLOOR, MAX_DISPERSION - 1e-9)
+    moments = None
+    if warm is not None and warm.moments is not None and warm.moments[0] is lams:
+        moments = warm.moments[1]
     if concentration_mode == "homogeneous":
         pooled = float(np.sum(dispersions * col) / n)
         pooled = min(max(pooled, _DISPERSION_FLOOR), MAX_DISPERSION - 1e-9)
-        root, iterations, _ = _concentration_columns(
-            [pooled], p, conc_cfg, None if lams is None else lams[:1]
+        root, iterations, converged = _concentration_columns(
+            [pooled], p, conc_cfg, None if lams is None else lams[:1],
+            None if moments is None else [m[:1] for m in moments],
         )
         new = np.full(len(mus), root[0])
     else:
-        new, iterations, _ = _concentration_columns(dispersions, p, conc_cfg, lams)
+        new, iterations, converged = _concentration_columns(dispersions, p, conc_cfg, lams, moments)
     if warm is not None:
         warm.concentration_iterations += int(iterations.max())
+        warm.unconverged_solves += not converged.all()
         warm.angles = None if lams is None else angles
     return MixtureModel._trusted(unit, new, col / n, concentration_mode)
 
@@ -422,7 +449,9 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     ones). Each later one starts where the last ended: every Frechet mean at
     its normalized extrinsic mean plus the last gap between the two, every
     concentration at its current value, which takes the inner solvers fewer
-    iterations; the E-step reuses the angles of the M-step's dispersions.
+    iterations; the E-step reuses the angles of the M-step's dispersions, and
+    the first iteration of the next concentration solve reuses the E-step's
+    quadrature pass at the current concentrations.
     """
     x = _unit_rows(data)
     n = x.shape[0]
@@ -452,7 +481,7 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
             break
         model = _m_step(x, gamma, cfg.concentration_mode, cfg.frechet, cfg.concentration,
                         warm, None if t == 0 else model.lams)
-        posterior, row_loglik = _posterior(x, model, warm.angles)
+        posterior, row_loglik = _posterior(x, model, warm.angles, warm)
         trace.append(float(np.sum(row_loglik)))
     return EMReport(
         model=model,
@@ -463,6 +492,7 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
         reseeds=reseeds,
         frechet_iterations=warm.frechet_iterations,
         concentration_iterations=warm.concentration_iterations,
+        unconverged_solves=warm.unconverged_solves,
     )
 
 

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from snmix.distribution import LAMBDA_MAX, SNParams, grad_log_partition, log_partition, sample
+from snmix.distribution import (
+    LAMBDA_MAX,
+    SNParams,
+    _radial_moments,
+    grad_log_partition,
+    log_partition,
+    sample,
+)
 from snmix.estimation import (
     MAX_DISPERSION,
     ConcentrationConfig,
@@ -19,6 +26,7 @@ from snmix.estimation import (
     _frechet,
     _frechet_columns,
     _log_factor,
+    _uniform_dispersion,
     concentration_mle,
     concentration_objective,
     fit_sn,
@@ -574,6 +582,166 @@ class TestWarmStarts:
             warm = _concentration_columns(dispersions, p, cfg, start)
             for a, b in zip(cold, warm):
                 np.testing.assert_array_equal(a, b)
+
+
+def reference_concentration_columns(dispersions, p, cfg, start=None, moments=_radial_moments):
+    """The concentration solve with its updates vectorised over the entries, as before
+    they ran per entry on Python floats (and before the lam = 0 boundary test)."""
+    d = np.asarray(dispersions, dtype=float)
+    halley = cfg.method == "halley"
+    lams = np.minimum(p / (2.0 * d), 0.5 * LAMBDA_MAX)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        lams = np.where((start > 0.0) & (start < 0.5 * LAMBDA_MAX), start, lams)
+    iterations = np.full(d.shape, 100)
+    converged = np.zeros(d.shape, dtype=bool)
+    active, lam, da = np.arange(d.size), lams.copy(), d
+    for t in range(1, 101):
+        mean, var, moment_3 = moments(p, lam)
+        g1 = da - 0.5 * mean
+        g2 = 0.25 * var
+        usable = g2 > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = lam - g1 / g2
+            if halley:
+                denom = 2.0 * g2 * g2 + 0.125 * g1 * moment_3
+                new = np.where(denom > 0.0, lam - 2.0 * g1 * g2 / denom, new)
+        if not usable.all():
+            new = np.where(usable, new, np.where(g1 < 0.0, 2.0 * lam, 0.5 * lam))
+        new = np.where(new <= 0.0, 0.5 * lam, new)
+        new = np.where(new > LAMBDA_MAX, 0.5 * (lam + LAMBDA_MAX), new)
+        stop = np.abs(new - lam) < cfg.epsilon * np.maximum(1.0, lam)
+        lam = new
+        if stop.any():
+            done = active[stop]
+            iterations[done], converged[done], lams[done] = t, True, lam[stop]
+            keep = ~stop
+            active, lam, da = active[keep], lam[keep], da[keep]
+            if active.size == 0:
+                break
+    lams[active] = lam
+    return lams, iterations, converged
+
+
+class TestScalarUpdates:
+    """The per-entry updates on Python floats are the vectorised ones, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 20])
+    def test_match_the_vectorised_reference(self, method, p):
+        rng = np.random.default_rng([101, p])
+        cfg = ConcentrationConfig(method=method, epsilon=float(rng.choice([1e-8, 1e-11])))
+        # concentrations from near the boundary to near LAMBDA_MAX, inside the uniform law
+        lams = 10.0 ** rng.uniform(-2.0, 7.5, 60)
+        d = np.array([-grad_log_partition(p, lam) for lam in lams]) * rng.uniform(0.8, 1.2, 60)
+        d = np.minimum(d, 0.999 * _uniform_dispersion(p))
+        d[:3] = p * np.array([1e-10, 3e-10, 1e-9])  # roots beyond LAMBDA_MAX
+        bad = lams.copy()
+        bad[::7] = [0.0, -1.0, np.nan, np.inf, 0.5 * LAMBDA_MAX, LAMBDA_MAX, -np.inf, 1e300, 0.0]
+        starts = [None, np.full(60, 3.0), lams * rng.uniform(0.5, 2.0, 60), bad]
+        for start in starts:
+            got = _concentration_columns(d, p, cfg, start)
+            want = reference_concentration_columns(d, p, cfg, start)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_safeguards_match_the_reference(self, method, monkeypatch):
+        # moments that no quadrature gives, so that every safeguard runs: a zero
+        # variance, and a third moment that makes Halley's denominator negative
+        import snmix.estimation as est
+
+        def skewed(p, lams):
+            mean, var, moment_3 = _radial_moments(p, lams)
+            pick = np.floor(lams * 1e3) % 3
+            var = np.where(pick == 0, 0.0, var)
+            return mean, var, np.where(pick == 1, -1e9 * np.sign(moment_3), moment_3)
+
+        monkeypatch.setattr(est, "_radial_moments", skewed)
+        cfg = ConcentrationConfig(method=method)
+        rng = np.random.default_rng(103)
+        for p in (1, 3):
+            d = rng.uniform(0.01, 0.99, 40) * _uniform_dispersion(p)
+            for start in (None, 10.0 ** rng.uniform(-2.0, 4.0, 40)):
+                got = _concentration_columns(d, p, cfg, start)
+                want = reference_concentration_columns(d, p, cfg, start, skewed)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_halley_is_the_default(self):
+        assert ConcentrationConfig().method == "halley"
+
+
+class TestStartMoments:
+    """Moments of an earlier pass at the start stand in for the first iteration's pass."""
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_moments_at_the_start_change_no_bit(self, method, monkeypatch):
+        import snmix.estimation as est
+
+        cfg = ConcentrationConfig(method=method)
+        dispersions = np.array([0.3, 0.8, 1.2, 2.0])  # the last is on the boundary
+        start = np.array([6.0, 1.5, 0.4, 0.3])
+        passes = []
+        original = est._radial_moments
+
+        def counting(p, lams):
+            passes.append(lams.size)
+            return original(p, lams)
+
+        monkeypatch.setattr(est, "_radial_moments", counting)
+        for p in (2, 4):
+            passes.clear()
+            want = _concentration_columns(dispersions, p, cfg, start)
+            first = len(passes)
+            got = _concentration_columns(dispersions, p, cfg, start, original(p, start))
+            assert len(passes) == 2 * first - 1  # the first pass is skipped
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_moments_ignored_where_a_start_is_out_of_range(self):
+        # they belong to the start, which is not where every entry starts
+        cfg = ConcentrationConfig()
+        dispersions = np.array([0.3, 0.8])
+        start = np.array([6.0, 0.0])
+        junk = [np.full(2, 1.0), np.full(2, 2.0), np.full(2, 3.0)]
+        want = _concentration_columns(dispersions, 3, cfg, start)
+        got = _concentration_columns(dispersions, 3, cfg, start, junk)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestBoundary:
+    """At or above the uniform law's dispersion the constrained root is lam = 0."""
+
+    def test_uniform_dispersion(self):
+        assert _uniform_dispersion(2) == pytest.approx((math.pi**2 - 4.0) / 4.0, rel=1e-12)
+        assert _uniform_dispersion(2) == pytest.approx(1.4674, abs=5e-5)
+        assert _uniform_dispersion(3) == pytest.approx(1.3949, abs=5e-5)
+        # the flat limit of the first derivative of log Z
+        for p in (1, 2, 3, 7):
+            assert _uniform_dispersion(p) == -grad_log_partition(p, 0.0)
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    @pytest.mark.parametrize("p, d", [(2, 2.0), (3, 1.5), (1, MAX_DISPERSION - 1e-9)])
+    def test_cold_and_warm_solves_return_zero_at_once(self, method, p, d):
+        cfg = ConcentrationConfig(method=method)
+        for start in (None, [3.7e-9], [7.45e-9], [5.0], [0.0]):
+            lams, iterations, converged = _concentration_columns([d], p, cfg, start)
+            assert (lams[0], iterations[0], converged[0]) == (0.0, 1, True)
+        assert concentration_mle(d, p, cfg) == 0.0
+
+    @pytest.mark.parametrize("method", ["newton", "halley"])
+    def test_on_the_boundary_and_just_inside(self, method):
+        cfg = ConcentrationConfig(method=method)
+        for p in (1, 2, 3, 10):
+            bound = _uniform_dispersion(p)
+            d = np.array([bound, np.nextafter(bound, 0.0), 0.5 * bound])
+            lams, iterations, converged = _concentration_columns(d, p, cfg)
+            assert converged.all()
+            assert lams[0] == 0.0 and iterations[0] == 1
+            assert 0.0 < lams[1] < 1e-3 and lams[2] > 0.0
 
 
 class TestConsistencyTrend:

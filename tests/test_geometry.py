@@ -5,6 +5,7 @@ import pytest
 
 from snmix.geometry import (
     SpherePoint,
+    _angles,
     batch_exp,
     batch_log,
     batch_project,
@@ -203,7 +204,8 @@ def old_batch_exp(base, v):
 
 
 class TestKernelsMatchLibraryForms:
-    """unitize and batch_exp write out NumPy's norm and sinc, and stay bit-identical."""
+    """unitize, batch_exp and _angles write out NumPy's norm, sinc and clip, and stay
+    bit-identical."""
 
     @pytest.mark.parametrize(
         "base_shape, v_shape",
@@ -232,6 +234,18 @@ class TestKernelsMatchLibraryForms:
         v = rng.standard_normal(shape) * rng.uniform(1e-6, 1e3, shape)
         ref = np.moveaxis(old_unitize(v, axis), axis, -1)
         assert np.array_equal(unitize(np.moveaxis(v, axis, -1)), ref)
+
+    def test_angles_bit_identical_to_clip(self):
+        # the clamp is np.clip's arithmetic, cosines rounded past +-1 included
+        rng = np.random.default_rng(73)
+        y = random_points(rng, 60, 4)
+        x = np.vstack([y[:5], -y[5:10], random_points(rng, 5, 4), [[np.nan, 0.0, 0.0, 1.0]]])
+        x[:10] *= 1.0 + 4e-16
+        C, theta = _angles(x, y)
+        ref = np.clip(x @ y.T, -1.0, 1.0)
+        assert np.nanmax(np.abs(x @ y.T)) > 1.0
+        assert C.tobytes() == ref.tobytes()
+        assert theta.tobytes() == np.arccos(ref).tobytes()
 
     def test_unitize_floor_unchanged(self):
         v = np.array([[1.0, 0.0], [1e-9, 0.0]])

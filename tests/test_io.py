@@ -201,6 +201,7 @@ class TestRoundTrips:
         # the inner solvers' iteration counts, at least one per M-step
         for key in ("frechet_iterations", "concentration_iterations"):
             assert doc[key] == getattr(report, key) >= doc["iterations"]
+        assert doc["unconverged_solves"] == report.unconverged_solves == 0
 
 
 def csv_module_only(monkeypatch):

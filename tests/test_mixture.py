@@ -557,14 +557,90 @@ class TestWarmStartedEM:
             assert getattr(new, name).tobytes() == getattr(checked, name).tobytes()
             assert not getattr(new, name).flags.writeable
 
-    def test_large_mix_inner_iterations(self):
+    def test_large_mix_inner_iterations(self, monkeypatch):
         # overfit K=4 runs all 200 sweeps; cold M-steps took 1000 Frechet and
         # 800 concentration iterations here
+        import snmix.distribution as dist
+
+        passes = []
+        original = dist._radial_nodes
+
+        def counting(p, lams, order):
+            passes.append(lams.size)
+            return original(p, lams, order)
+
+        monkeypatch.setattr(dist, "_radial_nodes", counting)
         x, _ = simulate.large_mix(seed=1)
         report = fit_em(x, EMConfig(K=4, seed=1))
         assert report.iterations == 200 and not report.converged
         assert report.frechet_iterations <= 600
         assert report.concentration_iterations <= 560
+        # quadrature passes over the whole fit, initializer included: one per E-step,
+        # plus the Halley iterations after the first, which reuses the E-step's pass;
+        # Newton without the reuse made 3.3 per sweep here
+        assert len(passes) <= 2.1 * report.iterations
+
+    @pytest.mark.parametrize("case", ["heterogeneous", "homogeneous", "reseeded"])
+    def test_reused_moments_change_no_bit(self, case, monkeypatch):
+        import snmix.mixture as mix
+
+        if case == "reseeded":
+            # hard EM that loses a component after its tenth M-step
+            x, _ = simulate.household_mix(seed=4)
+            cfg = EMConfig(K=6, seed=4, assignment="hard")
+        else:
+            x, _ = simulate.household_mix(seed=3)
+            cfg = EMConfig(K=4, seed=3, max_iter=60, concentration_mode=case)
+        given = []
+        original = mix._concentration_columns
+
+        def spy(dispersions, p, conc_cfg, start=None, moments=None):
+            given.append(moments is not None)
+            return original(dispersions, p, conc_cfg, start, moments)
+
+        monkeypatch.setattr(mix, "_concentration_columns", spy)
+        reused = fit_em(x, cfg)
+        # the initializer's and the first M-step's solves start cold, and a reseed voids
+        # the moments; every other M-step takes them
+        assert reused.reseeds == (case == "reseeded")
+        assert len(given) == reused.iterations + 1
+        assert given.count(False) == 2 + reused.reseeds
+
+        def recomputing(dispersions, p, conc_cfg, start=None, moments=None):
+            return original(dispersions, p, conc_cfg, start)
+
+        monkeypatch.setattr(mix, "_concentration_columns", recomputing)
+        fresh = fit_em(x, cfg)
+        assert reused.loglik_trace == fresh.loglik_trace
+        for name in ("mus", "lams", "weights"):
+            assert getattr(reused.model, name).tobytes() == getattr(fresh.model, name).tobytes()
+        np.testing.assert_array_equal(reused.gamma, fresh.gamma)
+        assert (reused.iterations, reused.converged, reused.reseeds,
+                reused.concentration_iterations) == (fresh.iterations, fresh.converged,
+                                                     fresh.reseeds, fresh.concentration_iterations)
+
+    def test_unconverged_solves_counted(self, monkeypatch):
+        import snmix.mixture as mix
+
+        flags = []
+        for name in ("_frechet_columns", "_concentration_columns"):
+            original = getattr(mix, name)
+
+            def spy(*args, _original=original):
+                out = _original(*args)
+                flags.append(bool(out[2].all()))
+                return out
+
+            monkeypatch.setattr(mix, name, spy)
+        x, _ = simulate.household_mix(seed=2)
+        capped = fit_em(x, EMConfig(K=3, seed=2, max_iter=20, frechet=FrechetConfig(max_iter=2)))
+        # the k-means initializer's solve is not an M-step
+        m_step_flags = flags[1:]
+        assert len(m_step_flags) == 2 * capped.iterations
+        assert capped.unconverged_solves == m_step_flags.count(False) > 0
+        flags.clear()
+        free = fit_em(x, EMConfig(K=3, seed=2))
+        assert all(flags) and free.unconverged_solves == 0
 
     def test_e_step_reuses_the_m_step_angles(self, monkeypatch):
         import snmix.mixture as mix
