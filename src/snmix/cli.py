@@ -199,7 +199,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.lambdas:
+    if args.lambdas is not None:  # an empty list is the benchmark's error to report
         lambdas = _parse_floats(args.lambdas)
     else:
         lambdas = {

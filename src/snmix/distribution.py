@@ -124,10 +124,10 @@ def log_partition(p: int, lam: float, order: int = DEFAULT_QUAD_ORDER) -> float:
 
 
 def _log_partition_many(p: int, lams, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
-    """:func:`log_partition` at every entry of the 1-D array ``lams``.
+    """:func:`log_partition` at every entry of the 1-D array ``lams``, checked; the
+    package's own callers take :func:`_log_partition_moments` instead.
 
-    Each concentration gets its own row of quadrature nodes on [0, cutoff],
-    so one call evaluates all K components of a mixture.
+    Each concentration gets its own row of quadrature nodes on [0, cutoff].
     """
     p = _validate_dim(p)
     lams = np.asarray(lams, dtype=float)
@@ -152,35 +152,23 @@ def _radial_nodes(p: int, lams: np.ndarray, order: int):
     return r, np.multiply(np.exp(mass, out=mass), half * w, out=mass), peak
 
 
-def _radial_moments(p: int, lams: np.ndarray):
-    """Mean, variance and third central moment of r^2 under the radial law at every
-    entry of ``lams``, from one pass over the nodes of :func:`log_partition`.
-
-    These are the exact derivatives of lam -> log_partition: the first is
-    -mean / 2, the second variance / 4 and the third -moment_3 / 8. Inputs are
-    not checked: ``p`` must be a valid dimension and ``lams`` valid concentrations.
-    """
-    r, mass, _ = _radial_nodes(p, lams, DEFAULT_QUAD_ORDER)
-    return _node_moments(r, mass, mass.sum(axis=1))
-
-
 def _log_partition_moments(p: int, lams: np.ndarray):
     """(log_z, mean, variance, moment_3) at every entry of ``lams`` from one pass over the
-    nodes: log_z bit for bit that of :func:`_log_partition_many`, the moments those of
-    :func:`_radial_moments`. Inputs are not checked, as there."""
+    nodes of :func:`log_partition`: log_z bit for bit that of :func:`_log_partition_many`,
+    and the mean, variance and third central moment of r^2 under the radial law.
+
+    The moments are the exact derivatives of lam -> log_z: the first is -mean / 2, the
+    second variance / 4 and the third -moment_3 / 8. Inputs are not checked: ``p`` must be
+    a valid dimension and ``lams`` valid concentrations.
+    """
     r, mass, peak = _radial_nodes(p, lams, DEFAULT_QUAD_ORDER)
     total = mass.sum(axis=1)
-    return (_log_sphere_area(p) + peak + np.log(total), *_node_moments(r, mass, total))
-
-
-def _node_moments(r: np.ndarray, mass: np.ndarray, total: np.ndarray):
-    """Mean, variance and third central moment of r^2 from the nodes ``r`` (overwritten)
-    and their masses, whose row sums are ``total``."""
     dev = np.square(r, out=r)  # r^2, then its deviation from the mean
     mean = (mass * dev).sum(axis=1) / total
     dev -= mean[:, None]
     sq = mass * dev * dev
-    return mean, sq.sum(axis=1) / total, np.multiply(sq, dev, out=sq).sum(axis=1) / total
+    return (_log_sphere_area(p) + peak + np.log(total), mean, sq.sum(axis=1) / total,
+            np.multiply(sq, dev, out=sq).sum(axis=1) / total)
 
 
 def log_density(x, params: SNParams):
@@ -203,7 +191,7 @@ def grad_log_partition(p: int, lam: float, order: int = 1) -> float:
     _check_lams(lam)
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2, or 3")
-    moment = _radial_moments(p, np.array([lam]))[order - 1][0]
+    moment = _log_partition_moments(p, np.array([lam]))[order][0]
     return float((-0.5, 0.25, -0.125)[order - 1] * moment)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .distribution import (
     LAMBDA_MAX,
     SNParams,
-    _radial_moments,
+    _log_partition_moments,
     _validate_dim,
     log_partition,
 )
@@ -376,7 +376,7 @@ def concentration_objective(lam: float, dispersion: float, p: int) -> float:
 @lru_cache(maxsize=None)
 def _uniform_dispersion(p: int) -> float:
     """E_0[r^2] / 2, the dispersion of the uniform law on S^p, on the solver's nodes."""
-    return 0.5 * float(_radial_moments(p, np.zeros(1))[0][0])
+    return 0.5 * float(_log_partition_moments(p, np.zeros(1))[1][0])
 
 
 def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig, start=None,
@@ -387,7 +387,7 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig, start=
     entry runs its own Newton or Halley iteration on the first three
     derivatives of the objective g(lam) = d lam + log_partition(p, lam),
     d - E[r^2]/2, Var[r^2]/4 and -E[(r^2 - E[r^2])^3]/8, and stops on its own
-    test |step| < epsilon * max(1, lam). One :func:`_radial_moments` call per
+    test |step| < epsilon * max(1, lam). One :func:`_log_partition_moments` call per
     iteration gives the moments of all entries still running; the updates
     themselves run per entry on Python floats. An entry starts at the moment
     match p / (2 d), capped at LAMBDA_MAX / 2, or at its ``start`` (an array
@@ -434,7 +434,7 @@ def _concentration_columns(dispersions, p: int, cfg: ConcentrationConfig, start=
         if not active:
             break
         if moments is None:
-            moments = _radial_moments(p, np.array([lams[k] for k in active]))
+            moments = _log_partition_moments(p, np.array([lams[k] for k in active]))[1:]
         running = []
         for k, mean, var, moment_3 in zip(active, *(m.tolist() for m in moments)):
             lam = lams[k]

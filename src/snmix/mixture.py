@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import _check_lams, _log_partition_many, _log_partition_moments, _sample
+from .distribution import _check_lams, _log_partition_moments, _sample
 from .estimation import (
     MAX_DISPERSION,
     ConcentrationConfig,
@@ -203,57 +203,48 @@ class EMReport:
 
 @dataclass
 class _WarmStart:
-    """What each M-step of a fit leaves for the next sweep (see :func:`fit_em`).
+    """What the M-steps of a fit carry from one sweep to the next (see :func:`fit_em`).
 
     ``offsets`` holds each component's gap between its last Frechet mean and
     its normalized extrinsic mean, where its next Frechet solve starts (a
-    zero row starts cold); ``angles`` the cosines and angles of the points at
-    the last model's locations, for the E-step that follows (None after a
-    cold M-step); ``moments`` the E-step's (lams, (mean, variance, moment_3))
-    of the radial law at the concentration array ``lams`` of its model, where
-    the next concentration solve starts (see :func:`_assemble`); the counts
-    are those of :class:`EMReport`.
+    zero row starts cold); the counts are those of :class:`EMReport`. Both
+    hold for whatever model the next M-step updates.
     """
 
     offsets: np.ndarray
-    angles: tuple | None = None
-    moments: tuple | None = None
     frechet_iterations: int = 0
     concentration_iterations: int = 0
     unconverged_solves: int = 0
 
 
-def _log_joint(data: np.ndarray, model: MixtureModel, angles=None, warm=None) -> np.ndarray:
-    """(K, N) matrix of log pi_k + log f_k(x_n), built in the buffer of the angles:
-    ``angles``, the (cosines, angles) of the points at ``model.mus``, where given.
-    With the :class:`_WarmStart` ``warm``, the pass that gives log Z also leaves the
-    moments at ``model.lams`` in ``warm.moments``."""
+def _log_joint(data: np.ndarray, model: MixtureModel, angles=None):
+    """(joint, moments): the (K, N) matrix of log pi_k + log f_k(x_n), built in the buffer
+    of the angles, ``angles``, the (cosines, angles) of the points at ``model.mus``, where
+    given; and the (mean, variance, moment_3) of the radial law at ``model.lams`` from the
+    pass that gives log Z (see :func:`snmix.distribution._log_partition_moments`)."""
     out = (_angles(model.mus, data) if angles is None else angles)[1]
     out *= out
     out *= 0.5 * model.lams[:, None]
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.weights)
     np.subtract(log_pi[:, None], out, out=out)
-    if warm is None:
-        log_z = _log_partition_many(model.p, model.lams)
-    else:
-        log_z, *moments = _log_partition_moments(model.p, model.lams)
-        warm.moments = (model.lams, moments)
+    log_z, *moments = _log_partition_moments(model.p, model.lams)
     out -= log_z[:, None]
-    return out
+    return out, moments
 
 
-def _posterior(x: np.ndarray, model: MixtureModel, angles=None, warm=None):
-    """(gamma, row_loglik) from one pass: the (K, N) responsibilities and, per point,
-    log sum_k pi_k f_k(x_n). Precomputed ``angles`` are overwritten and ``warm`` gets
-    the moments (see :func:`_log_joint`)."""
+def _posterior(x: np.ndarray, model: MixtureModel, angles=None):
+    """(gamma, row_loglik, moments) from one pass: the (K, N) responsibilities, per point
+    log sum_k pi_k f_k(x_n), and the radial moments at ``model.lams``, where a
+    concentration solve that updates ``model`` starts. Precomputed ``angles`` are
+    overwritten (see :func:`_log_joint`)."""
     if x.shape[1] != model.p + 1:
         raise ValueError("points and model must live on the same sphere")
-    joint = _log_joint(x, model, angles, warm)
+    joint, moments = _log_joint(x, model, angles)
     peak = joint.max(axis=0)
     np.exp(np.subtract(joint, peak, out=joint), out=joint)  # a point's largest term is exp(0)
     total = joint.sum(axis=0)
-    return np.divide(joint, total, out=joint), peak + np.log(total)
+    return np.divide(joint, total, out=joint), peak + np.log(total), moments
 
 
 def e_step(data, model: MixtureModel) -> np.ndarray:
@@ -315,19 +306,20 @@ def m_step(
         raise ValueError("gamma must be an (n, K) matrix with one row per observation")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gamma must be finite and non-negative")
-    m = _m_step(x, np.ascontiguousarray(g.T), concentration_mode,
-                frechet_cfg or FrechetConfig(), conc_cfg or ConcentrationConfig())
+    m, _ = _m_step(x, np.ascontiguousarray(g.T), concentration_mode,
+                   frechet_cfg or FrechetConfig(), conc_cfg or ConcentrationConfig())
     return MixtureModel(m.mus, m.lams, m.weights, concentration_mode)  # caller's rows and mode
 
 
-def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg, warm=None, lams=None):
-    """:func:`m_step`, its model not re-checked, on unit rows ``x``, a non-negative (K, n) ``g``
-    whose columns sum to one and a valid mode; the empty-cluster test backs up reseeding.
+def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg, warm=None, start=None):
+    """:func:`m_step` on unit rows ``x``, a non-negative (K, n) ``g`` whose columns sum to one
+    and a valid mode, as (model, angles), the model not re-checked (see :func:`_assemble`);
+    the empty-cluster test backs up reseeding.
 
     Inside a fit, the Frechet solve starts from the offsets in the :class:`_WarmStart`
-    ``warm``, which it updates, and the concentration solve from ``lams``, those of the
-    model being updated (see :func:`_assemble`); without them both start cold. ``warm``
-    also counts the iterations and the unconverged solves.
+    ``warm``, which it updates, and the concentration solve from ``start``, the model's
+    concentrations and the moments of its posterior there; without them both start cold.
+    ``warm`` also counts the iterations and the unconverged solves.
     """
     n = x.shape[0]
     col = g.sum(axis=1)
@@ -340,32 +332,30 @@ def _m_step(x, g, concentration_mode: str, frechet_cfg, conc_cfg, warm=None, lam
     if warm is not None:
         warm.frechet_iterations += int(iterations.max())
         warm.unconverged_solves += not converged.all()
-    return _assemble(x, W, mus, col, concentration_mode, conc_cfg, warm, lams)
+    return _assemble(x, W, mus, col, concentration_mode, conc_cfg, warm, start)
 
 
-def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg, warm=None, lams=None):
-    """Mixture on the rows ``x`` from (K, p+1) locations and (K, n) memberships ``W``
-    whose rows sum to one.
+def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg, warm=None, start=None):
+    """(model, angles): the mixture on the rows ``x`` from (K, p+1) locations and (K, n)
+    memberships ``W`` whose rows sum to one, and the angles of the points at its locations
+    (None without ``start``).
 
     Weights are ``col / n``; concentrations come from each clipped dispersion (half the
     ``W``-weighted mean squared distance), or from their ``col``-weighted pool in
-    homogeneous mode. Without ``lams`` the solve starts cold and the dispersions are
-    taken at ``mus`` as given, as :func:`snmix.estimation.fit_sn` does. With them the
-    solve starts at ``lams``, its first iteration on the moments that the E-step left
-    in ``warm`` where they belong to this very array (a reseed builds a new one), and
-    the dispersions are taken at the model's unitized locations, whose angles go to
-    ``warm`` for the next E-step. ``warm`` also counts the concentration iterations
-    and an unconverged solve.
+    homogeneous mode. Without ``start`` the solve starts cold and the dispersions are
+    taken at ``mus`` as given, as :func:`snmix.estimation.fit_sn` does. With ``start``,
+    the pair (lams, moments) of a model's concentrations and its radial moments there,
+    the solve starts at ``lams`` and takes ``moments`` for its first iteration, and the
+    dispersions are taken at the model's unitized locations, whose angles the next
+    E-step reuses. ``warm`` counts the concentration iterations and an unconverged solve.
     """
     n, p = x.shape[0], mus.shape[1] - 1
     unit = unitize(mus)
-    angles = _angles(mus if lams is None else unit, x)
+    angles = _angles(mus if start is None else unit, x)
     dispersions = _dispersions(W, angles[1])
     # collapsed clusters would otherwise raise as degenerate; cap instead
     dispersions = np.clip(dispersions, _DISPERSION_FLOOR, MAX_DISPERSION - 1e-9)
-    moments = None
-    if warm is not None and warm.moments is not None and warm.moments[0] is lams:
-        moments = warm.moments[1]
+    lams, moments = (None, None) if start is None else start
     if concentration_mode == "homogeneous":
         pooled = float(np.sum(dispersions * col) / n)
         pooled = min(max(pooled, _DISPERSION_FLOOR), MAX_DISPERSION - 1e-9)
@@ -379,8 +369,8 @@ def _assemble(x, W, mus, col, concentration_mode: str, conc_cfg, warm=None, lams
     if warm is not None:
         warm.concentration_iterations += int(iterations.max())
         warm.unconverged_solves += not converged.all()
-        warm.angles = None if lams is None else angles
-    return MixtureModel._trusted(unit, new, col / n, concentration_mode)
+    model = MixtureModel._trusted(unit, new, col / n, concentration_mode)
+    return model, None if start is None else angles
 
 
 def _apply_assignment(gamma: np.ndarray, assignment: str, rng) -> np.ndarray:
@@ -401,18 +391,19 @@ def _init_from_kmeans(x: np.ndarray, cfg: EMConfig, seed) -> MixtureModel:
     centroids = W @ x
     flat = np.linalg.norm(centroids, axis=1) < 1e-8
     centroids[flat] = x[np.argmax(onehot[flat], axis=1)]
-    return _assemble(x, W, unitize(centroids), col, cfg.concentration_mode, cfg.concentration)
+    return _assemble(x, W, unitize(centroids), col, cfg.concentration_mode, cfg.concentration)[0]
 
 
-def _reseed_empty(x, model, gamma, row_loglik, assignment, rng, offsets):
+def _reseed_empty(x, model, gamma, row_loglik, moments, assignment, rng, offsets):
     """Replace components whose (K, N) responsibility row lost all mass.
 
     Each dead component is moved onto the observation the current mixture
     explains worst (lowest ``row_loglik``), its concentration reset to the
     median of the live ones (where its next concentration solve starts) and
     its Frechet offset in ``offsets`` to zero (so its next Frechet solve
-    starts cold), and the membership matrix recomputed under the patched
-    model.
+    starts cold), and the posterior recomputed under the patched model.
+    Returns (model, gamma, moments, reseeds), where ``moments`` are those
+    given if nothing was reseeded.
     """
     n = x.shape[0]
     reseeds = 0
@@ -430,10 +421,10 @@ def _reseed_empty(x, model, gamma, row_loglik, assignment, rng, offsets):
         w[j] = max(w[j], 1.0 / n)
         offsets[j] = 0.0
         model = MixtureModel._trusted(mus, lams, w / w.sum(), model.concentration_mode)
-        gamma, row_loglik = _posterior(x, model)
+        gamma, row_loglik, moments = _posterior(x, model)
         gamma = _apply_assignment(gamma, assignment, rng)
         reseeds += 1
-    return model, gamma, reseeds
+    return model, gamma, moments, reseeds
 
 
 def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMReport:
@@ -450,8 +441,8 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     its normalized extrinsic mean plus the last gap between the two, every
     concentration at its current value, which takes the inner solvers fewer
     iterations; the E-step reuses the angles of the M-step's dispersions, and
-    the first iteration of the next concentration solve reuses the E-step's
-    quadrature pass at the current concentrations.
+    the first iteration of the next concentration solve reuses the quadrature
+    pass of the last posterior, a reseed's included, at the current values.
     """
     x = _unit_rows(data)
     n = x.shape[0]
@@ -463,7 +454,7 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     if model.K != cfg.K or model.p != x.shape[1] - 1:
         raise ValueError("init_model shape does not match the configuration")
 
-    posterior, row_loglik = _posterior(x, model)
+    posterior, row_loglik, moments = _posterior(x, model)
     trace = [float(np.sum(row_loglik))]
     threshold = cfg.epsilon_gamma * math.sqrt(n * cfg.K)
     gamma = None
@@ -472,16 +463,16 @@ def fit_em(data, cfg: EMConfig, init_model: MixtureModel | None = None) -> EMRep
     for t in range(cfg.max_iter + 1):
         gamma_prev = gamma
         gamma = _apply_assignment(posterior, cfg.assignment, rng)
-        model, gamma, n_new = _reseed_empty(
-            x, model, gamma, row_loglik, cfg.assignment, rng, warm.offsets
+        model, gamma, moments, n_new = _reseed_empty(
+            x, model, gamma, row_loglik, moments, cfg.assignment, rng, warm.offsets
         )
         reseeds += n_new
         converged = gamma_prev is not None and float(np.linalg.norm(gamma - gamma_prev)) < threshold
         if converged or t == cfg.max_iter:
             break
-        model = _m_step(x, gamma, cfg.concentration_mode, cfg.frechet, cfg.concentration,
-                        warm, None if t == 0 else model.lams)
-        posterior, row_loglik = _posterior(x, model, warm.angles, warm)
+        model, angles = _m_step(x, gamma, cfg.concentration_mode, cfg.frechet,
+                                cfg.concentration, warm, None if t == 0 else (model.lams, moments))
+        posterior, row_loglik, moments = _posterior(x, model, angles)
         trace.append(float(np.sum(row_loglik)))
     return EMReport(
         model=model,

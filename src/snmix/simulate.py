@@ -7,7 +7,14 @@ import time
 import numpy as np
 
 from .distribution import SNParams, sample as sn_sample
-from .estimation import ConcentrationConfig, FrechetConfig, _concentration, _dispersions, _frechet
+from .estimation import (
+    ConcentrationConfig,
+    FrechetConfig,
+    _check_count,
+    _concentration,
+    _dispersions,
+    _frechet,
+)
 from .geometry import _angles, batch_exp, batch_log, geodesic_distance, unitize
 
 __all__ = [
@@ -129,18 +136,28 @@ def estimation_benchmark(
     Every repetition draws a fresh sample about the last coordinate axis.
     ``what`` selects the location columns (both step rules), the
     concentration columns (Newton and Halley on the same sample), or both.
-    Rows come back sorted by (p, lambda, n).
+    Rows come back sorted by (p, lambda, n). Empty grids, a concentration
+    that is not positive (its relative error is undefined), p < 1 and
+    ``reps`` < 1 raise ``ValueError``.
     """
     if what not in ("location", "concentration", "both"):
         raise ValueError("what must be 'location', 'concentration' or 'both'")
+    dims, lambdas, sizes = sorted(dims), sorted(lambdas), sorted(sizes)
+    if not (dims and lambdas and sizes):
+        raise ValueError("dims, lambdas and sizes must each hold at least one value")
+    if not all(lam > 0.0 for lam in lambdas):  # NaN fails too
+        raise ValueError("every lambda must be positive")
+    if dims[0] < 1:
+        raise ValueError("every dimension p must be at least 1")
+    _check_count("reps", reps)
     do_mu = what in ("location", "both")
     do_lam = what in ("concentration", "both")
     rows = []
-    for ip, p in enumerate(sorted(dims)):
+    for ip, p in enumerate(dims):
         mu0 = np.zeros(p + 1)
         mu0[-1] = 1.0
-        for il, lam0 in enumerate(sorted(lambdas)):
-            for i_n, n in enumerate(sorted(sizes)):
+        for il, lam0 in enumerate(lambdas):
+            for i_n, n in enumerate(sizes):
                 cell = {"p": int(p), "lambda": float(lam0), "n": int(n)}
                 acc: dict[str, list[float]] = {}
                 for rep in range(reps):

@@ -269,6 +269,21 @@ class TestBench:
         assert "err_mu_fixed" in header and "relerr_lambda_newton" not in header
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lambdas", ","], ["--lambdas", ""], ["--lambdas", "0"], ["--reps", "0"]],
+        ids=["comma_lambdas", "empty_lambdas", "zero_lambda", "zero_reps"],
+    )
+    def test_bad_grid_exits_2(self, flags, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        args = {"--dims": "2", "--lambdas": "5", "--sizes": "20", "--reps": "1"}
+        args.update(zip(flags[::2], flags[1::2]))
+        code = run(["bench", *[v for pair in args.items() for v in pair], "--output", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestParser:
     def test_help_available_for_every_subcommand(self, capsys):
         for cmd in ("fit", "cluster", "sample", "simulate", "bench"):

@@ -15,7 +15,6 @@ from snmix.distribution import (
     _log_partition_moments,
     _log_sphere_area,
     _radial_cutoff,
-    _radial_moments,
     grad_log_partition,
     log_density,
     log_partition,
@@ -245,7 +244,7 @@ def reference_radial_moments(p, lams):
 @pytest.mark.parametrize("p", [1, 2, 3, 7, 50])
 def test_radial_moments_equal_reference_bit_for_bit(p):
     lams = np.array([0.0, 1e-3, 0.7, 3.0, 47.5, 1e3, 2.5e5, 1e8])
-    got, want = _radial_moments(p, lams), reference_radial_moments(p, lams)
+    got, want = _log_partition_moments(p, lams)[1:], reference_radial_moments(p, lams)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
@@ -256,7 +255,7 @@ def test_one_pass_gives_log_partition_and_moments_bit_for_bit(p):
     lams = np.array([0.0, 1e-3, 0.7, 3.0, 47.5, 1e3, 2.5e5, 1e8])
     log_z, *moments = _log_partition_moments(p, lams)
     np.testing.assert_array_equal(log_z, _log_partition_many(p, lams))
-    for a, b in zip(moments, _radial_moments(p, lams)):
+    for a, b in zip(moments, reference_radial_moments(p, lams)):
         np.testing.assert_array_equal(a, b)
     # and each row is the pass at that concentration alone
     for k, lam in enumerate(lams):

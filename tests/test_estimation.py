@@ -8,7 +8,7 @@ import pytest
 from snmix.distribution import (
     LAMBDA_MAX,
     SNParams,
-    _radial_moments,
+    _log_partition_moments,
     grad_log_partition,
     log_partition,
     sample,
@@ -584,7 +584,12 @@ class TestWarmStarts:
                 np.testing.assert_array_equal(a, b)
 
 
-def reference_concentration_columns(dispersions, p, cfg, start=None, moments=_radial_moments):
+def radial_moments(p, lams):
+    """(mean, variance, moment_3) of the radial law, without log Z."""
+    return _log_partition_moments(p, lams)[1:]
+
+
+def reference_concentration_columns(dispersions, p, cfg, start=None, moments=radial_moments):
     """The concentration solve with its updates vectorised over the entries, as before
     they ran per entry on Python floats (and before the lam = 0 boundary test)."""
     d = np.asarray(dispersions, dtype=float)
@@ -653,19 +658,20 @@ class TestScalarUpdates:
         import snmix.estimation as est
 
         def skewed(p, lams):
-            mean, var, moment_3 = _radial_moments(p, lams)
+            log_z, mean, var, moment_3 = _log_partition_moments(p, lams)
             pick = np.floor(lams * 1e3) % 3
             var = np.where(pick == 0, 0.0, var)
-            return mean, var, np.where(pick == 1, -1e9 * np.sign(moment_3), moment_3)
+            return log_z, mean, var, np.where(pick == 1, -1e9 * np.sign(moment_3), moment_3)
 
-        monkeypatch.setattr(est, "_radial_moments", skewed)
+        monkeypatch.setattr(est, "_log_partition_moments", skewed)
         cfg = ConcentrationConfig(method=method)
         rng = np.random.default_rng(103)
         for p in (1, 3):
             d = rng.uniform(0.01, 0.99, 40) * _uniform_dispersion(p)
             for start in (None, 10.0 ** rng.uniform(-2.0, 4.0, 40)):
                 got = _concentration_columns(d, p, cfg, start)
-                want = reference_concentration_columns(d, p, cfg, start, skewed)
+                want = reference_concentration_columns(d, p, cfg, start,
+                                                       lambda p, lams: skewed(p, lams)[1:])
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
@@ -684,18 +690,18 @@ class TestStartMoments:
         dispersions = np.array([0.3, 0.8, 1.2, 2.0])  # the last is on the boundary
         start = np.array([6.0, 1.5, 0.4, 0.3])
         passes = []
-        original = est._radial_moments
+        original = est._log_partition_moments
 
         def counting(p, lams):
             passes.append(lams.size)
             return original(p, lams)
 
-        monkeypatch.setattr(est, "_radial_moments", counting)
+        monkeypatch.setattr(est, "_log_partition_moments", counting)
         for p in (2, 4):
             passes.clear()
             want = _concentration_columns(dispersions, p, cfg, start)
             first = len(passes)
-            got = _concentration_columns(dispersions, p, cfg, start, original(p, start))
+            got = _concentration_columns(dispersions, p, cfg, start, original(p, start)[1:])
             assert len(passes) == 2 * first - 1  # the first pass is skipped
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)

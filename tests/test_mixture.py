@@ -17,7 +17,7 @@ from snmix.estimation import (
     fit_sn,
     weighted_frechet_mean,
 )
-from snmix.distribution import _log_partition_many
+from snmix.distribution import _log_partition_many, _log_partition_moments
 from snmix.geometry import (
     SpherePoint,
     _angles,
@@ -96,8 +96,9 @@ class TestMixtureModel:
         # and copying them; the checked constructor must give the same model
         x, _ = simulate.household_mix(seed=2)
         gamma = e_step(x, fit_em(x, EMConfig(K=3, seed=2, max_iter=3)).model).T
-        model = _m_step(x, np.ascontiguousarray(gamma), mode,
-                        FrechetConfig(), ConcentrationConfig())
+        model, angles = _m_step(x, np.ascontiguousarray(gamma), mode,
+                                FrechetConfig(), ConcentrationConfig())
+        assert angles is None  # a cold M-step takes its dispersions at the raw means
         checked = MixtureModel(model.mus, model.lams, model.weights, model.concentration_mode)
         assert model.to_dict() == checked.to_dict()
         for name in ("mus", "lams", "weights"):
@@ -189,10 +190,10 @@ class TestPosterior:
     def test_matches_logsumexp(self, model):
         x = unitize(np.random.default_rng(5).standard_normal((200, 3)))
         # the kernel is component-major: gamma and the log joint are (K, N)
-        gamma, row_loglik = _posterior(x, model)
+        gamma, row_loglik, _ = _posterior(x, model)
         assert gamma.shape == (model.K, len(x)) and row_loglik.shape == (len(x),)
         np.testing.assert_allclose(gamma.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
-        ref = logsumexp(_log_joint(x, model), axis=0)
+        ref = logsumexp(_log_joint(x, model)[0], axis=0)
         np.testing.assert_allclose(row_loglik, ref, rtol=1e-12, atol=0.0)
         if model.weights.min() == 0.0:
             assert np.all(gamma[model.weights == 0.0] == 0.0)
@@ -211,10 +212,13 @@ class TestPosterior:
         peak = log_joint.max(axis=0)
         joint = np.exp(log_joint - peak)
         total = joint.sum(axis=0)
-        gamma, row_loglik = _posterior(x, model)
+        gamma, row_loglik, moments = _posterior(x, model)
         np.testing.assert_array_equal(gamma, joint / total)
         np.testing.assert_array_equal(row_loglik, peak + np.log(total))
-        np.testing.assert_array_equal(_log_joint(x, model), log_joint)
+        np.testing.assert_array_equal(_log_joint(x, model)[0], log_joint)
+        # the same pass gives the moments where a solve updating the model starts
+        for a, b in zip(moments, _log_partition_moments(p, model.lams)[1:]):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("call", [e_step, log_likelihood], ids=["e_step", "log_likelihood"])
     def test_points_and_model_on_different_spheres(self, call):
@@ -538,13 +542,19 @@ class TestWarmStartedEM:
         pts, _, mus = separated_sample(rng, 2, (40.0, 40.0), (60, 60))
         model = MixtureModel([mus[0], mus[1], unitize(-(mus[0] + mus[1]))],
                              [40.0, 30.0, 1e6], [0.45, 0.45, 0.10])
-        gamma, row_loglik = _posterior(pts, model)
+        gamma, row_loglik, moments = _posterior(pts, model)
         gamma[2] = 0.0  # component 2 carries no mass
         gamma /= gamma.sum(axis=0)
         offsets = rng.uniform(-1e-3, 1e-3, (3, 3))
         kept = offsets[:2].copy()
-        new, gamma, reseeds = _reseed_empty(pts, model, gamma, row_loglik, "soft", rng, offsets)
+        new, gamma, moments, reseeds = _reseed_empty(pts, model, gamma, row_loglik, moments,
+                                                     "soft", rng, offsets)
         assert reseeds == 1 and gamma[2].sum() > 0.0
+        # the posterior returned is the patched model's, moments included
+        want_gamma, _, want_moments = _posterior(pts, new)
+        np.testing.assert_array_equal(gamma, want_gamma)
+        for a, b in zip(moments, want_moments):
+            np.testing.assert_array_equal(a, b)
         # its next Frechet solve starts at the extrinsic mean, its next
         # concentration solve at the median of the live components
         np.testing.assert_array_equal(offsets[2], 0.0)
@@ -600,11 +610,11 @@ class TestWarmStartedEM:
 
         monkeypatch.setattr(mix, "_concentration_columns", spy)
         reused = fit_em(x, cfg)
-        # the initializer's and the first M-step's solves start cold, and a reseed voids
-        # the moments; every other M-step takes them
+        # the initializer's and the first M-step's solves start cold; every other M-step
+        # takes the moments of the last posterior, a reseed's included
         assert reused.reseeds == (case == "reseeded")
         assert len(given) == reused.iterations + 1
-        assert given.count(False) == 2 + reused.reseeds
+        assert given.count(False) == 2
 
         def recomputing(dispersions, p, conc_cfg, start=None, moments=None):
             return original(dispersions, p, conc_cfg, start)
@@ -618,6 +628,56 @@ class TestWarmStartedEM:
         assert (reused.iterations, reused.converged, reused.reseeds,
                 reused.concentration_iterations) == (fresh.iterations, fresh.converged,
                                                      fresh.reseeds, fresh.concentration_iterations)
+
+    @pytest.mark.parametrize("mode", ["heterogeneous", "homogeneous"])
+    def test_m_step_on_an_extrapolated_model(self, mode, monkeypatch):
+        # an accelerated EM (SQUAREM) updates a model that no M-step produced; all the
+        # M-step takes from outside that model is the Frechet offsets, so its start
+        # from the model's own posterior must match a solve that recomputes the moments
+        import snmix.distribution as dist
+        import snmix.mixture as mix
+
+        x, _ = simulate.household_mix(seed=5)
+        cfg = EMConfig(K=3, seed=5, concentration_mode=mode)
+        fitted = fit_em(x, cfg).model
+        rng = np.random.default_rng(61)
+        scale = 1.2 if mode == "homogeneous" else rng.uniform(0.8, 1.2, cfg.K)
+        model = MixtureModel(unitize(fitted.mus + rng.normal(0.0, 0.05, fitted.mus.shape)),
+                             fitted.lams * scale, fitted.weights, mode)
+        gamma, _, moments = _posterior(x, model)
+        offsets = rng.uniform(-1e-3, 1e-3, fitted.mus.shape)
+        passes = []
+        original_nodes = dist._radial_nodes
+
+        def counting(p, lams, order):
+            passes.append(None)
+            return original_nodes(p, lams, order)
+
+        monkeypatch.setattr(dist, "_radial_nodes", counting)
+
+        def m_step_once():
+            warm = mix._WarmStart(offsets.copy())
+            passes.clear()
+            new, angles = _m_step(x, gamma, mode, cfg.frechet, cfg.concentration, warm,
+                                  (model.lams, moments))
+            return new, angles, warm, len(passes)
+
+        reused = m_step_once()
+        original = mix._concentration_columns
+
+        def recomputing(dispersions, p, conc_cfg, start=None, moments=None):
+            return original(dispersions, p, conc_cfg, start)
+
+        monkeypatch.setattr(mix, "_concentration_columns", recomputing)
+        fresh = m_step_once()
+        for name in ("mus", "lams", "weights"):
+            assert getattr(reused[0], name).tobytes() == getattr(fresh[0], name).tobytes()
+        for a, b in zip(reused[1], fresh[1]):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(reused[2].offsets, fresh[2].offsets)
+        counters = ("frechet_iterations", "concentration_iterations", "unconverged_solves")
+        assert [getattr(reused[2], c) for c in counters] == [getattr(fresh[2], c) for c in counters]
+        assert reused[3] == fresh[3] - 1  # the posterior's pass stands in for the first
 
     def test_unconverged_solves_counted(self, monkeypatch):
         import snmix.mixture as mix

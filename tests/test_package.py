@@ -34,7 +34,9 @@ def test_module_exports_resolve(module_name):
 # names removed from the API; each is gone, not kept as an alias
 REMOVED = {
     "snmix": ["TangentVector", "project_to_tangent", "exp_map", "log_map"],
-    "snmix.distribution": ["_stencil_log_partition", "_STENCIL_OFFSETS"],
+    "snmix.distribution": [
+        "_stencil_log_partition", "_STENCIL_OFFSETS", "_radial_moments", "_node_moments",
+    ],
     "snmix.geometry": [
         "TangentVector", "project_to_tangent", "exp_map", "log_map", "TANGENCY_TOL", "_coords",
     ],
@@ -83,7 +85,7 @@ REMOVED_PARAMETERS = [
     ("snmix.metrics", "_lloyd", ["restarts", "max_iter"]),
     ("snmix.geometry", "_norms", ["axis"]),
     ("snmix.distribution", "_radial_cdf", ["cells"]),
-    ("snmix.distribution", "_radial_moments", ["order"]),
+    ("snmix.distribution", "_log_partition_moments", ["order"]),
 ]
 
 

@@ -93,6 +93,29 @@ class TestEstimationBenchmark:
         with pytest.raises(ValueError):
             simulate.estimation_benchmark(what="everything")
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"dims": []}, "at least one value"),
+            ({"lambdas": []}, "at least one value"),
+            ({"sizes": []}, "at least one value"),
+            ({"lambdas": [5.0, 0.0]}, "positive"),
+            ({"lambdas": [-1.0]}, "positive"),
+            ({"lambdas": [float("nan")]}, "positive"),
+            ({"dims": [3, -1]}, "at least 1"),
+            ({"reps": 0}, "reps"),
+            ({"reps": -2}, "reps"),
+        ],
+        ids=["no_dims", "no_lambdas", "no_sizes", "zero_lambda", "negative_lambda",
+             "nan_lambda", "negative_dim", "zero_reps", "negative_reps"],
+    )
+    def test_bad_grid_rejected(self, bad, match):
+        # an empty grid gives no rows, lambda = 0 a relative error of 0 / 0, p = -1 no
+        # location and no repetition rows without metrics; each fails before any cell runs
+        args = {"dims": [2], "lambdas": [5.0], "sizes": [20], "reps": 1, **bad}
+        with pytest.raises(ValueError, match=match):
+            simulate.estimation_benchmark(**args)
+
     def test_deterministic_up_to_timings(self):
         a = simulate.estimation_benchmark(dims=[5], lambdas=[5.0], sizes=[50], reps=3, seed=2)
         b = simulate.estimation_benchmark(dims=[5], lambdas=[5.0], sizes=[50], reps=3, seed=2)
